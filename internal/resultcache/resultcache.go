@@ -8,7 +8,7 @@
 // Robustness properties, each load-bearing for a long-running server:
 //
 //   - Keys are SHA-256 over length-framed components (engine version,
-//     canonical config, trace bytes, job parameters), so no two
+//     canonical config, trace digest, job parameters), so no two
 //     distinct jobs can collide by concatenation ambiguity.
 //   - Writes are atomic: payloads land in a temp file and rename into
 //     place, so a crashed or SIGKILLed writer never leaves a partial
@@ -44,12 +44,13 @@ import (
 
 // Key derives the content address of a job result: SHA-256 in hex over
 // the engine version, the canonicalized machine configuration, the
-// workload trace bytes and the job parameters (kind, mode, format,
-// …). Every component is length-framed before hashing, so moving bytes
-// between components always changes the key. Identical inputs yield
-// identical keys on every platform and process; any single-component
-// delta yields a different key.
-func Key(engineVersion string, configJSON, traceBytes []byte, params ...string) string {
+// workload trace's identity (its digest, for captured traces) and the
+// job parameters (kind, mode, format, …). Every component is
+// length-framed before hashing, so moving bytes between components
+// always changes the key. Identical inputs yield identical keys on
+// every platform and process; any single-component delta yields a
+// different key.
+func Key(engineVersion string, configJSON, traceID []byte, params ...string) string {
 	h := sha256.New()
 	frame := func(b []byte) {
 		var n [8]byte
@@ -59,7 +60,7 @@ func Key(engineVersion string, configJSON, traceBytes []byte, params ...string) 
 	}
 	frame([]byte(engineVersion))
 	frame(configJSON)
-	frame(traceBytes)
+	frame(traceID)
 	for _, p := range params {
 		frame([]byte(p))
 	}

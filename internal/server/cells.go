@@ -1,8 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"sync"
 	"sync/atomic"
@@ -22,7 +22,7 @@ import (
 // whole rendered documents. The experiment harness exposes exactly that
 // granularity (experiments.CellFunc); the daemon installs a runner that
 // content-addresses each cell under (engine version, canonical cell
-// config, trace hash, mode, workload, insts) and serves repeats from
+// config, trace digest, mode, workload, insts) and serves repeats from
 // internal/resultcache. The whole-document cache in runCached stays on
 // top: a document hit skips the session entirely, a document miss
 // recomposes the document from cell lookups, so overlapping experiments
@@ -87,12 +87,21 @@ func cellConfig(m config.Machine, mode cmp.Mode) ([]byte, error) {
 	return m.ToJSON()
 }
 
+// traceDigest is the cache-key component of a captured trace: the hex
+// trace digest, SHA-256 of the canonical uncompressed instruction
+// records (trace.Digest). Every key that content-addresses a trace —
+// /v1/sim documents and cells — derives it here.
+func traceDigest(tr *trace.Trace) string {
+	d := tr.Digest()
+	return hex.EncodeToString(d[:])
+}
+
 // cellKey content-addresses one simulation cell: engine version,
-// canonical cell config and the trace hash pin the simulation inputs
-// exactly (the trace hash subsumes workload identity and instruction
-// budget — same bytes, same result); the mode and workload name ride
-// along for debuggability. traceSum is the SHA-256 key of the captured
-// trace bytes, hashed once per workload per request, not per cell.
+// canonical cell config and the trace digest pin the simulation inputs
+// exactly (the digest subsumes workload identity and instruction
+// budget — same records, same result); the mode and workload name ride
+// along for debuggability. traceSum is traceDigest of the captured
+// trace, hashed once per workload per request, not per cell.
 func cellKey(cfgJSON []byte, traceSum string, mode cmp.Mode, workload string) string {
 	return resultcache.Key(cmp.EngineVersion, cfgJSON, []byte(traceSum),
 		"cell", string(mode), workload)
@@ -117,29 +126,27 @@ func (s *Server) runCell(m config.Machine, mode cmp.Mode, tr *trace.Trace) (stat
 //
 // Correctness leans on the repository's determinism contract: a cell
 // result is a pure function of (engine version, canonical config,
-// trace bytes), which is exactly the key, so a cached stats.Run
+// trace digest), which is exactly the key, so a cached stats.Run
 // round-tripped through JSON is byte-equivalent to a fresh simulation
 // (stats.Run marshals losslessly — uint64 counts and shortest-round-
 // trip float64 counters, name-sorted).
 func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
-	// traceSums memoises the trace hash per workload for this session:
+	// traceSums memoises the trace digest per workload for this session:
 	// traces are immutable after capture and shared session-wide, so one
-	// hash per workload covers every cell on it.
+	// hash per workload covers every cell on it. The map is guarded by
+	// mu, the hashing is not: cells on different workloads never wait on
+	// each other's digest, cells on the same one share a single hash.
 	var mu sync.Mutex
-	traceSums := map[string]string{}
-	sumOf := func(w workloads.Workload, tr *trace.Trace) (string, error) {
+	traceSums := map[string]func() string{}
+	sumOf := func(w workloads.Workload, tr *trace.Trace) string {
 		mu.Lock()
-		defer mu.Unlock()
-		if sum, ok := traceSums[w.Name]; ok {
-			return sum, nil
+		sum, ok := traceSums[w.Name]
+		if !ok {
+			sum = sync.OnceValue(func() string { return traceDigest(tr) })
+			traceSums[w.Name] = sum
 		}
-		var tb bytes.Buffer
-		if err := tr.Save(&tb); err != nil {
-			return "", err
-		}
-		sum := resultcache.Key("trace", nil, tb.Bytes())
-		traceSums[w.Name] = sum
-		return sum, nil
+		mu.Unlock()
+		return sum()
 	}
 	return func(m config.Machine, mode cmp.Mode, w workloads.Workload, tr *trace.Trace) (stats.Run, error) {
 		if st != nil {
@@ -150,11 +157,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 		if err != nil {
 			return s.runCell(m, mode, tr) // unkeyable, run uncached
 		}
-		sum, err := sumOf(w, tr)
-		if err != nil {
-			return s.runCell(m, mode, tr)
-		}
-		key := cellKey(cfgJSON, sum, mode, w.Name)
+		key := cellKey(cfgJSON, sumOf(w, tr), mode, w.Name)
 		// computed captures the fresh run when its JSON encoding cannot
 		// be persisted (NaN/Inf counters): the simulation still succeeded
 		// and its result must be served, just not memoised.

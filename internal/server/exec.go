@@ -97,7 +97,7 @@ func (q *BenchRequest) cacheable() bool { return q.Inject == "" }
 // cacheKey content-addresses the request. The bench corpus is fully
 // determined by the engine version (presets and trace generators are
 // code), so the key hashes the canonical preset configs and the
-// workload roster in place of per-request config and trace bytes.
+// workload roster in place of per-request config and trace digests.
 func (q *BenchRequest) cacheKey() (string, error) {
 	mediumPreset := config.Medium()
 	medium, err := mediumPreset.ToJSON()
@@ -160,7 +160,7 @@ const simpointIntervalFloor = 1000
 
 // validate normalises defaults, resolves the machine and captures the
 // workload trace (deterministic, so safe to do before admission — the
-// trace bytes are the cache-key component). Any error is a client
+// trace digest is the cache-key component). Any error is a client
 // error (HTTP 400).
 func (q *SimRequest) validate() error {
 	if q.Workload == "" {
@@ -240,7 +240,7 @@ func (q *SimRequest) cacheable() bool { return q.Inject == "" }
 
 // cacheKey content-addresses the request over the exact inputs of the
 // simulation: engine version, canonical machine config and the captured
-// trace bytes, plus the mode/format/sampling parameters. The sampling
+// trace's digest, plus the mode/format/sampling parameters. The sampling
 // interval is a key component: a sampled response carries estimates a
 // plain run's does not, so the two must never share a cache entry.
 func (q *SimRequest) cacheKey() (string, error) {
@@ -248,11 +248,7 @@ func (q *SimRequest) cacheKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var tb bytes.Buffer
-	if err := q.tr.Save(&tb); err != nil {
-		return "", err
-	}
-	return resultcache.Key(cmp.EngineVersion, cfg, tb.Bytes(),
+	return resultcache.Key(cmp.EngineVersion, cfg, []byte(traceDigest(q.tr)),
 		"sim", q.Mode, strconv.FormatUint(q.Insts, 10), q.Format, q.Inject,
 		strconv.Itoa(q.SimpointInterval)), nil
 }

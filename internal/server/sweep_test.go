@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cmp"
 	"repro/internal/config"
-	"repro/internal/resultcache"
 	"repro/internal/workloads"
 )
 
@@ -174,8 +173,8 @@ func TestSweepBenchCacheShared(t *testing.T) {
 }
 
 // cellKeyFor recomputes the cell key the server derives for one
-// (preset, mode, workload) cell at the given budget — the test-side
-// mirror of cellRunner's key derivation.
+// (preset, mode, workload) cell at the given budget, through the same
+// helpers cellRunner uses.
 func cellKeyFor(t *testing.T, m config.Machine, mode cmp.Mode, workload string, insts uint64) string {
 	t.Helper()
 	cfgJSON, err := cellConfig(m, mode)
@@ -186,11 +185,7 @@ func cellKeyFor(t *testing.T, m config.Machine, mode cmp.Mode, workload string, 
 	if !ok {
 		t.Fatalf("unknown workload %q", workload)
 	}
-	var tb bytes.Buffer
-	if err := w.Trace(insts).Save(&tb); err != nil {
-		t.Fatal(err)
-	}
-	return cellKey(cfgJSON, resultcache.Key("trace", nil, tb.Bytes()), mode, workload)
+	return cellKey(cfgJSON, traceDigest(w.Trace(insts)), mode, workload)
 }
 
 // entryPath mirrors the store's sharded layout (resultcache.Store.path

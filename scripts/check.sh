@@ -33,7 +33,9 @@
 #                   machine mode
 #   service smoke   fgstpd end to end: start the daemon, submit a job
 #                   over HTTP, the response must be byte-identical to
-#                   fgstpbench stdout (uncached and cached); stream a
+#                   fgstpbench stdout (uncached and cached); submit a
+#                   /v1/sim job whose body must equal fgstpsim stdout,
+#                   and whose repeat must equal the first; stream a
 #                   2-experiment sweep whose documents must equal the
 #                   fgstpbench exports, then re-run it and require the
 #                   whole sweep served from cache (zero cells run);
@@ -154,6 +156,19 @@ cmp "$tmp/export1.json" "$tmp/served1.json" || {
     >"$tmp/served2.json"
 cmp "$tmp/served1.json" "$tmp/served2.json" || {
     echo "cached response differs from uncached response"; exit 1; }
+# /v1/sim round-trip: the body keyed on the trace digest must equal
+# fgstpsim stdout for the same knobs, and the repeat (a cache hit) must
+# equal the first response byte for byte.
+"$tmp/fgstpsim" -workload gcc -insts 3000 -machine medium -mode all -format json \
+    >"$tmp/sim.json" 2>/dev/null
+"$tmp/fgstpd" submit -addr "$addr" -kind sim -workload gcc -insts 3000 \
+    -machine medium -mode all -format json >"$tmp/simserved1.json"
+cmp "$tmp/sim.json" "$tmp/simserved1.json" || {
+    echo "served /v1/sim response differs from fgstpsim stdout"; exit 1; }
+"$tmp/fgstpd" submit -addr "$addr" -kind sim -workload gcc -insts 3000 \
+    -machine medium -mode all -format json >"$tmp/simserved2.json"
+cmp "$tmp/simserved1.json" "$tmp/simserved2.json" || {
+    echo "repeated /v1/sim response differs from the first"; exit 1; }
 # Sweep round-trip: every unit document must be byte-identical to the
 # fgstpbench stdout for the same experiment/insts, and a repeated sweep
 # must be served entirely from cache — zero cells recomputed.
