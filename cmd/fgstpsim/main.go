@@ -35,10 +35,6 @@
 //	                 inter-core channel from cycle 0; "panic" makes the
 //	                 first channel poll panic inside the engine (the
 //	                 scheduler contains it as a structured failure)
-//	-hotblock        hot-block timing memoization (default on; output is
-//	                 byte-identical on or off — disable to time the
-//	                 plain engine). Replay telemetry (templates, replays,
-//	                 replayed-cycle coverage) prints to stderr.
 //
 // A failed mode renders as a FAILED line; the other modes still
 // report. Exit codes:
@@ -59,7 +55,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -91,10 +86,8 @@ func run() int {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		inject     = flag.String("inject", "", "fault to inject: \"livelock\" stalls the Fg-STP inter-core channel; \"panic\" panics inside the engine (contained)")
 		simpointN  = flag.Int("simpoint", 0, "SimPoint interval size in instructions (0 = no sampled estimate)")
-		hotBlock   = flag.Bool("hotblock", true, "hot-block timing memoization (output is byte-identical on or off)")
 	)
 	flag.Parse()
-	hotblock.SetDefaultDisabled(!*hotBlock)
 
 	if *list {
 		listWorkloads()
@@ -200,10 +193,6 @@ func run() int {
 	if err != nil {
 		return fatal(err)
 	}
-	hbCtrs := make([]hotblock.Counters, len(modes))
-	for i := range jl {
-		jl[i].HotBlock = &hbCtrs[i]
-	}
 	runs, errs := sched.RunJobsAll(*jobs, jl)
 
 	if *traceJSON != "" {
@@ -257,9 +246,6 @@ func run() int {
 		}
 		fmt.Fprintln(banner, line)
 	}
-	if *hotBlock {
-		printHotBlockFooter(hbCtrs, modes, runs, errs)
-	}
 	if rss, ok := metrics.PeakRSS(); ok {
 		fmt.Fprintf(os.Stderr, "fgstpsim: peak RSS %.1f MiB\n", float64(rss)/(1<<20))
 	}
@@ -288,35 +274,6 @@ func writeChromeTrace(path string, m config.Machine, md cmp.Mode, tr *trace.Trac
 		"mode":     string(md),
 	}
 	return metrics.WriteChromeTraceRecorder(f, rec, meta)
-}
-
-// printHotBlockFooter aggregates the per-mode replay telemetry into a
-// metrics registry under the hotblock_* export names and reports replay
-// coverage on stderr — the side channel keeps the stdout report
-// byte-identical with memoization on or off. All three modes
-// contribute: single and corefusion through the per-core engine, fgstp
-// through the joint pair-template engine (whose replays are broken out
-// as hotblock_replays_pair).
-func printHotBlockFooter(ctrs []hotblock.Counters, modes []cmp.Mode, runs []stats.Run, errs []error) {
-	var agg hotblock.Counters
-	var cycles uint64
-	for i := range ctrs {
-		agg.Merge(ctrs[i])
-		if errs[i] == nil {
-			cycles += runs[i].Cycles
-		}
-	}
-	reg := metrics.NewRegistry()
-	agg.AddTo(reg)
-	cov := 0.0
-	if cycles > 0 {
-		cov = 100 * float64(agg.ReplayedCycles) / float64(cycles)
-	}
-	fmt.Fprintf(os.Stderr, "fgstpsim: hotblock replay coverage %.1f%% (%d of %d cycles, %d replays of %d templates, %d pair replays)\n",
-		cov, agg.ReplayedCycles, cycles, agg.Replays, agg.Templates, agg.ReplaysPair)
-	for _, s := range reg.Sorted() {
-		fmt.Fprintf(os.Stderr, "fgstpsim:   %-32s %.0f\n", s.Name, s.Value)
-	}
 }
 
 func loadMachine(preset, path string) (config.Machine, error) {

@@ -27,8 +27,9 @@ import (
 // change that can alter a cycle count, a counter, or an export byte —
 // timing-model changes, new counters, schema or formatting changes —
 // MUST bump this string, or stale cache entries will be served as
-// current results. Pure speedups proven byte-identical (cycle
-// skipping, hot-block replay) do not require a bump.
+// current results. Pure speedups proven byte-identical (such as
+// event-driven cycle skipping) do not require a bump; the results
+// golden in internal/experiments/testdata enforces both directions.
 //
 // Since PR 8 the store also memoises individual simulation *cells*
 // (one Run of one mode on one workload, as JSON-encoded stats.Run
@@ -76,29 +77,16 @@ var ErrLivelock = ooo.ErrLivelock
 // only apply to ModeFgSTP — the other modes have no inter-core channel.
 type Faults = core.Faults
 
-// Options bundles the optional knobs of a run: fault injection, event
-// instrumentation, and hot-block memoization. The zero value reproduces
-// Run.
+// Options bundles the optional knobs of a run: fault injection and
+// event instrumentation. The zero value reproduces Run.
 type Options struct {
 	// Faults optionally injects deterministic faults into the run; only
 	// ModeFgSTP has an inter-core channel to stall.
 	Faults Faults
-	// Sink receives pipeline events from the machine under test;
-	// attaching one disables hot-block replay (replayed spans emit no
-	// per-uop events).
+	// Sink receives pipeline events from the machine under test.
 	Sink metrics.Sink
-	// DisableHotBlock forces the plain engine for this run regardless of
-	// the process-wide default (hotblock.SetDefaultDisabled). Memoization
-	// engages in all three modes: single-core and corefusion runs use the
-	// per-core engine, and the Fg-STP pair uses the joint pair-template
-	// engine that captures both cores and the channel together (see
-	// core.RunOptions).
-	DisableHotBlock bool
-	// HotBlockConfig overrides the memoization knobs; nil means defaults.
-	HotBlockConfig *hotblock.Config
-	// HotBlock, when non-nil, receives the run's replay telemetry. The
-	// telemetry never enters the stats.Run summary: experiment output is
-	// byte-identical with memoization on and off.
+	// HotBlock is never written: the hot-block replay it reported on is
+	// gone (see hotblock.Counters). It remains for perfbench only.
 	HotBlock *hotblock.Counters
 }
 
@@ -131,27 +119,11 @@ func RunOpts(m config.Machine, mode Mode, tr *trace.Trace, opts Options) (stats.
 	}
 	switch mode {
 	case ModeSingle:
-		return ooo.RunTraceWith(m.Core, m.Hier, tr, ooo.RunOptions{
-			Sink:            opts.Sink,
-			DisableHotBlock: opts.DisableHotBlock,
-			HotBlockConfig:  opts.HotBlockConfig,
-			HotBlock:        opts.HotBlock,
-		})
+		return ooo.RunTraceWith(m.Core, m.Hier, tr, opts.Sink)
 	case ModeFusion:
-		return corefusion.RunWith(m, tr, ooo.RunOptions{
-			Sink:            opts.Sink,
-			DisableHotBlock: opts.DisableHotBlock,
-			HotBlockConfig:  opts.HotBlockConfig,
-			HotBlock:        opts.HotBlock,
-		})
+		return corefusion.RunWith(m, tr, opts.Sink)
 	case ModeFgSTP:
-		return core.RunWith(m, tr, core.RunOptions{
-			Faults:          opts.Faults,
-			Sink:            opts.Sink,
-			DisableHotBlock: opts.DisableHotBlock,
-			HotBlockConfig:  opts.HotBlockConfig,
-			HotBlock:        opts.HotBlock,
-		})
+		return core.RunWith(m, tr, opts.Faults, opts.Sink)
 	default:
 		return stats.Run{}, fmt.Errorf("unknown mode %q", mode)
 	}

@@ -4,10 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/hotblock"
-	"repro/internal/isa"
-	"repro/internal/program"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -35,94 +31,6 @@ func BenchmarkFgstpMachine(b *testing.B) {
 		mustDrainM(b, m)
 	}
 	b.ReportMetric(float64(tr.Len()), "insts/op")
-}
-
-// benchPairRun drains one Fg-STP run with the joint hot-block engine on
-// (replay, default knobs) or forced off (noreplay) — the two sides
-// produce byte-identical summaries (see TestPairHotBlockVsTicked
-// Differential), so the ratio is pure engine speedup.
-func benchPairRun(b *testing.B, cfg config.Machine, tr *trace.Trace) {
-	b.Helper()
-	run := func(b *testing.B, replay bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			var ctrs hotblock.Counters
-			opts := RunOptions{DisableHotBlock: !replay, HotBlock: &ctrs}
-			r, err := RunWith(cfg, tr, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(r.Cycles), "cycles/op")
-				if replay {
-					b.ReportMetric(float64(ctrs.ReplaysPair), "pairreplays/op")
-				}
-			}
-		}
-		b.ReportMetric(float64(tr.Len()), "insts/op")
-	}
-	b.Run("noreplay", func(b *testing.B) { run(b, false) })
-	b.Run("replay", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkFgstpPairSteadyState measures the pair-template engine on
-// the paper's headline case: a dependence-bound loop partitioned across
-// the Fg-STP pair (mcf's serial pointer chase). Every chase iteration
-// is identical once the predictor and the caches warm, so pair
-// templates cover nearly the whole run; the noreplay side is the
-// event-driven engine alone, which cannot skip the dependence-bound
-// in-flight cycles.
-func BenchmarkFgstpPairSteadyState(b *testing.B) {
-	w, _ := workloads.ByName("mcf")
-	tr := w.Trace(20_000)
-	benchPairRun(b, config.Medium(), tr)
-}
-
-// streamMissTrace builds a periodic L2-miss stream: a serial pointer
-// chase over an L2-resident permutation ring whose 64 KiB footprint
-// overflows the L1, traced from its timed region exactly like the
-// workload kernels (the setup pass that links the ring is
-// fast-forwarded). Every chase load misses the L1 and hits the L2 with
-// the same latency, so the hierarchy response recurs with the loop —
-// the case the periodic-miss precondition (probe-proven recurring
-// misses, not all-hits) exists for.
-func streamMissTrace(insts uint64) *trace.Trace {
-	const base, slots, stride = 0x800000, 8192, 3121
-	b := program.NewBuilder("streammiss")
-	b.Li(isa.R16, base)
-	b.Li(isa.R20, 0)
-	b.Li(isa.R21, slots)
-	b.Label("init")
-	b.Addi(isa.R22, isa.R20, stride)
-	b.Andi(isa.R22, isa.R22, slots-1)
-	b.Shli(isa.R22, isa.R22, 3)
-	b.Add(isa.R22, isa.R16, isa.R22)
-	b.Shli(isa.R23, isa.R20, 3)
-	b.Add(isa.R23, isa.R16, isa.R23)
-	b.St(isa.R22, isa.R23, 0)
-	b.Addi(isa.R20, isa.R20, 1)
-	b.Blt(isa.R20, isa.R21, "init")
-	b.Li(isa.R3, base)
-	b.Li(isa.R2, int64(insts))
-	b.Label("main")
-	b.Label("chase")
-	b.Ld(isa.R3, isa.R3, 0)
-	b.Andi(isa.R5, isa.R3, 255)
-	b.Add(isa.R4, isa.R4, isa.R5)
-	b.Addi(isa.R2, isa.R2, -1)
-	b.Bne(isa.R2, isa.R0, "chase")
-	b.Halt()
-	return trace.CaptureFromLabel(b.MustBuild(), "main", insts)
-}
-
-// BenchmarkStreamingMissLoop measures the periodic-miss templates on a
-// pure streaming loop. Before this precondition existed the hot-block
-// engine covered 0% of streaming workloads by design (the all-hit rule
-// rejected every span with a miss); now the recurring miss response is
-// part of the captured template.
-func BenchmarkStreamingMissLoop(b *testing.B) {
-	tr := streamMissTrace(20_000)
-	benchPairRun(b, config.Medium(), tr)
 }
 
 // BenchmarkChannelGrant measures the value-channel arbitration cost.

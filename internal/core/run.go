@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/hotblock"
 	"repro/internal/metrics"
 	"repro/internal/ooo"
 	"repro/internal/stats"
@@ -58,66 +57,21 @@ func (e *LivelockError) Error() string {
 
 func (e *LivelockError) Unwrap() error { return ooo.ErrLivelock }
 
-// Run simulates tr to completion on an Fg-STP machine built from cfg
-// and returns the run summary — the Fg-STP data point of every
-// experiment.
-func Run(cfg config.Machine, tr *trace.Trace) (stats.Run, error) {
-	return RunFaulty(cfg, tr, nil)
-}
-
-// RunFaulty simulates like Run with a fault injector installed (nil
-// behaves exactly like Run). Injected faults that starve the machine
-// surface as a *LivelockError from the watchdog, not a hang.
-func RunFaulty(cfg config.Machine, tr *trace.Trace, f Faults) (stats.Run, error) {
-	return RunInstrumented(cfg, tr, f, nil)
-}
-
-// RunInstrumented simulates like RunFaulty with a pipeline event sink
-// attached to the machine and both cores (nil behaves exactly like
-// RunFaulty); the events render into a Chrome trace via
+// RunWith simulates tr to completion on an Fg-STP machine built from
+// cfg and returns the run summary — the Fg-STP data point of every
+// experiment. f, when non-nil, injects deterministic faults; injected
+// faults that starve the machine surface as a *LivelockError from the
+// watchdog, not a hang. sink, when non-nil, receives the pipeline events
+// of the machine and both cores, which render into a Chrome trace via
 // metrics.WriteChromeTrace.
-func RunInstrumented(cfg config.Machine, tr *trace.Trace, f Faults, sink metrics.Sink) (stats.Run, error) {
-	return RunWith(cfg, tr, RunOptions{Faults: f, Sink: sink})
-}
-
-// RunOptions bundles the optional knobs of an Fg-STP run, mirroring
-// ooo.RunOptions so cmp can thread one option set through all three
-// execution modes.
-type RunOptions struct {
-	// Faults optionally injects deterministic faults (nil: none).
-	Faults Faults
-	// Sink receives pipeline events from the machine and both cores.
-	Sink metrics.Sink
-	// Hot-block memoization knobs. The Fg-STP pair's cores run under
-	// cross-core hooks (steering, the inter-core value channel,
-	// sequencer-gated commit), so per-core templates are impossible —
-	// ooo's EnableHotBlock declines hooked cores. Instead the machine
-	// engages its own JOINT engine (EnablePairHotBlock, in
-	// internal/core/hotblock.go), which captures both cores, the
-	// sequencer and the cross-core event log as one template and
-	// replays them together. The engine declines runs with fault
-	// injection, an event sink, or store-set dependence mode.
-	DisableHotBlock bool
-	HotBlockConfig  *hotblock.Config
-	HotBlock        *hotblock.Counters
-}
-
-// RunWith simulates like Run under the full option set.
-func RunWith(cfg config.Machine, tr *trace.Trace, opts RunOptions) (stats.Run, error) {
+func RunWith(cfg config.Machine, tr *trace.Trace, f Faults, sink metrics.Sink) (stats.Run, error) {
 	m, err := NewMachine(cfg, tr)
 	if err != nil {
 		return stats.Run{}, err
 	}
-	m.SetFaults(opts.Faults)
-	if opts.Sink != nil {
-		m.SetEventSink(opts.Sink)
-	}
-	if !opts.DisableHotBlock && !hotblock.DefaultDisabled() && opts.Sink == nil {
-		var hcfg hotblock.Config
-		if opts.HotBlockConfig != nil {
-			hcfg = *opts.HotBlockConfig
-		}
-		m.EnablePairHotBlock(hcfg, opts.HotBlock)
+	m.SetFaults(f)
+	if sink != nil {
+		m.SetEventSink(sink)
 	}
 	cycles, err := m.Drain()
 	if err != nil {
@@ -155,17 +109,6 @@ func (m *Machine) drain(skip bool) (int64, error) {
 		}
 		if now-lastProgress > ooo.LivelockWindow || now > limit {
 			return now, m.livelockSnapshot(now, now-lastProgress)
-		}
-		if skip && m.phb != nil {
-			if end, ok := m.pairTop(now, lastProgress, limit); ok {
-				// A joint template replay covered [now, end). Re-anchor
-				// the watchdog exactly as the ticked path would have:
-				// the first loop top after the span's final commit.
-				now = end
-				lastCommit = m.nextCommit
-				lastProgress = m.lastCommitCycle + 1
-				continue
-			}
 		}
 		if skip {
 			if next := m.NextEvent(now); next > now {

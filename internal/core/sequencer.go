@@ -95,10 +95,6 @@ type sequencer struct {
 	// buffer).
 	queueCap int
 
-	// hblog, when non-nil, receives the cooperative I-cache fetches of
-	// an open pair hot-block capture (see internal/core/hotblock.go).
-	hblog *ooo.HBLog
-
 	// onDeliver, when set, is called once per delivered instruction
 	// with its home core and whether a replica was steered to the
 	// sibling — the machine uses it to track in-flight stores for
@@ -200,9 +196,6 @@ func (s *sequencer) fill(now int64, nextCommit uint64) {
 		line := s.hiers[core].L1I.LineAddr(d.PC)
 		if line != s.lastFetchLine[core] {
 			lat := s.hiers[core].Fetch(d.PC)
-			if s.hblog != nil {
-				s.hblog.RecMem(int8(core), ooo.HBMemFetch, s.pos, lat)
-			}
 			s.lastFetchLine[core] = line
 			if hit := s.hiers[core].L1I.Config().LatencyCycles; lat > hit {
 				s.stallUntil = now + int64(lat-hit)

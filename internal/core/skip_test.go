@@ -47,7 +47,7 @@ func TestMachineSkipVsTickDifferential(t *testing.T) {
 	noSpec.Name = "small-nospec"
 	noSpec.FgSTP.DepSpeculation = false
 	cfgs := []config.Machine{config.Small(), config.Medium(), storeSets, noSpec}
-	wls := []string{"gcc", "mcf", "milc", "hmmer"}
+	wls := []string{"gcc", "mcf", "milc", "hmmer", "libquantum"}
 	for _, cfg := range cfgs {
 		for _, wl := range wls {
 			skip := runJSON(t, cfg, wl, 6_000, false)
@@ -119,4 +119,43 @@ func TestMachineSkipCompletesHealthy(t *testing.T) {
 	if cs != ct {
 		t.Errorf("healthy run cycle counts diverge: skip=%d tick=%d", cs, ct)
 	}
+}
+
+// FuzzPairDrainVsTicked: the skipping machine drain matches the ticked
+// oracle byte for byte on randomized workload, budget and machine
+// shapes, including squash-heavy workloads and a narrow, slow channel
+// (the corpus seeds mirror the channel-stall injector tests' traces).
+func FuzzPairDrainVsTicked(f *testing.F) {
+	f.Add(int64(1), uint16(4_000), uint8(0)) // gcc/4k: the channel-stall trace
+	f.Add(int64(2), uint16(9_000), uint8(1))
+	f.Add(int64(3), uint16(12_000), uint8(2))
+	f.Add(int64(4), uint16(6_000), uint8(3))
+	f.Add(int64(5), uint16(15_000), uint8(4))
+	wls := []string{"gcc", "mcf", "milc", "hmmer", "sjeng", "libquantum", "gobmk"}
+	f.Fuzz(func(t *testing.T, seed int64, steps uint16, shape uint8) {
+		insts := 1_000 + uint64(steps)%15_000
+		wl := wls[uint64(seed%int64(len(wls))+int64(len(wls)))%uint64(len(wls))]
+		cfg := config.Medium()
+		switch shape % 5 {
+		case 1:
+			cfg = config.Small()
+		case 2:
+			cfg = config.Small()
+			cfg.Name = "small-nospec"
+			cfg.FgSTP.DepSpeculation = false
+		case 3:
+			cfg.Name = "medium-chan"
+			cfg.FgSTP.CommLatency = 5
+			cfg.FgSTP.CommBandwidth = 1
+		case 4:
+			cfg.Name = "medium-window"
+			cfg.FgSTP.Window = 96
+		}
+		skip := runJSON(t, cfg, wl, insts, false)
+		tick := runJSON(t, cfg, wl, insts, true)
+		if skip != tick {
+			t.Fatalf("%s/%s insts=%d: skipping drain diverges from ticked\n skip: %s\n tick: %s",
+				cfg.Name, wl, insts, skip, tick)
+		}
+	})
 }

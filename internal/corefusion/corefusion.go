@@ -59,18 +59,6 @@ func FusedHierarchy(m config.Machine) mem.HierarchyConfig {
 	return h
 }
 
-// Run simulates tr to completion on the fused configuration of machine
-// m and returns the run summary.
-func Run(m config.Machine, tr *trace.Trace) (stats.Run, error) {
-	return RunWith(m, tr, ooo.RunOptions{})
-}
-
-// RunInstrumented simulates like Run with a pipeline event sink
-// attached to the fused core (nil behaves exactly like Run).
-func RunInstrumented(m config.Machine, tr *trace.Trace, sink metrics.Sink) (stats.Run, error) {
-	return RunWith(m, tr, ooo.RunOptions{Sink: sink})
-}
-
 // NewFused assembles the fused machine over a captured trace: the
 // double-width two-cluster core and its banked double-capacity L1
 // hierarchy. Callers that need drain control beyond RunWith (sampled
@@ -107,17 +95,15 @@ func NewFusedAt(m config.Machine, tr *trace.Trace, hs *mem.HierarchyState, warm 
 	return core, hier, nil
 }
 
-// RunWith simulates like Run under the full option set: event sink and
-// hot-block memoization knobs. The fused machine is a single ooo.Core
-// with two clusters and no cross-core hooks, so it is replay-eligible
-// exactly like the single-core baseline.
-func RunWith(m config.Machine, tr *trace.Trace, opts ooo.RunOptions) (stats.Run, error) {
+// RunWith simulates tr to completion on the fused configuration of
+// machine m and returns the run summary. sink, when non-nil, receives
+// the fused core's pipeline events.
+func RunWith(m config.Machine, tr *trace.Trace, sink metrics.Sink) (stats.Run, error) {
 	core, _, err := NewFused(m, tr)
 	if err != nil {
 		return stats.Run{}, err
 	}
-	core.SetEventSink(opts.Sink, 0)
-	ooo.ApplyHotBlockOptions(core, opts)
+	core.SetEventSink(sink, 0)
 	cycles, err := ooo.Drain(core, tr.Len())
 	if err != nil {
 		return stats.Run{}, err

@@ -3,7 +3,6 @@ package ooo
 import (
 	"testing"
 
-	"repro/internal/hotblock"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
@@ -106,68 +105,6 @@ func BenchmarkMemoryBoundCycleSkip(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.Len()), "insts/op")
-}
-
-// steadyLoopTrace builds the cycle skipper's worst case and the
-// hot-block replay engine's best case: a tight serially-dependent
-// arithmetic loop. Every cycle makes progress (the dependence chain
-// keeps the issue stage busy; NextEvent finds ~0 dead cycles), yet
-// every iteration is identical — no memory traffic beyond I-fetch, no
-// mispredicts once the predictor warms — so a timing template captures
-// the steady state exactly.
-func steadyLoopTrace(iters int64) *trace.Trace {
-	b := program.NewBuilder("steadyloop")
-	b.Li(isa.R1, 3)
-	b.Li(isa.R2, iters)
-	b.Label("loop")
-	b.Add(isa.R3, isa.R3, isa.R1)
-	b.Xori(isa.R4, isa.R3, 0x55)
-	b.Add(isa.R5, isa.R4, isa.R3)
-	b.Shri(isa.R6, isa.R5, 1)
-	b.Add(isa.R3, isa.R6, isa.R3)
-	b.Addi(isa.R2, isa.R2, -1)
-	b.Bne(isa.R2, isa.R0, "loop")
-	b.Halt()
-	return trace.Capture(b.MustBuild(), 0)
-}
-
-// BenchmarkLoopSteadyState measures Drain on the steady arithmetic
-// loop with hot-block memoization on (replay) and off (noreplay). The
-// noreplay side is the PR 5 engine: event-driven skipping alone, which
-// wins nothing here because a dependence-bound loop has no dead cycles
-// to skip. The replay side is the headline perf signal of the
-// hot-block work; both sides produce byte-identical reports (see
-// TestHotBlockVsTickedDifferential).
-func BenchmarkLoopSteadyState(b *testing.B) {
-	tr := steadyLoopTrace(8000)
-	cfg := testConfig()
-	hcfg := testHier()
-	run := func(b *testing.B, replay bool) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			hier, err := mem.NewHierarchy(hcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			core, err := NewCore(cfg, hier, NewTraceStream(tr), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if replay && !core.EnableHotBlock(hotblock.Config{}, nil) {
-				b.Fatal("EnableHotBlock declined")
-			}
-			cycles, err := Drain(core, tr.Len())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(cycles), "cycles/op")
-			}
-		}
-		b.ReportMetric(float64(tr.Len()), "insts/op")
-	}
-	b.Run("noreplay", func(b *testing.B) { run(b, false) })
-	b.Run("replay", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkFusedCoreDrain measures the two-cluster (Core Fusion style)

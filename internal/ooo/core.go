@@ -221,18 +221,6 @@ type Core struct {
 	// sink, when non-nil, receives issue/commit/squash pipeline events
 	// (see internal/metrics); nil costs one comparison per event site.
 	sink metrics.Sink
-
-	// Hot-block timing memoization (hotblock.go). hb is nil when
-	// disabled; hblog is non-nil only while a capture span is recording
-	// hierarchy/dep-predictor interactions (hbtag is the core id stamped
-	// on each record — 0 single-core, the core index under the pair
-	// engine); lastCommitAt is the cycle of the most recent committed
-	// instruction (the drain watchdog's progress anchor after a bulk
-	// replay).
-	hb           *hbCtl
-	hblog        *HBLog
-	hbtag        int8
-	lastCommitAt int64
 }
 
 // NewCore builds a core over its memory hierarchy and fetch stream.
@@ -415,11 +403,6 @@ func (c *Core) SetEventSink(sink metrics.Sink, coreID int) {
 		c.sink = nil
 		return
 	}
-	// Pipeline-event emission and hot-block replay are mutually
-	// exclusive: a replayed span emits no per-uop events, so traced runs
-	// fall back to the plain engine.
-	c.hb = nil
-	c.hblog = nil
 	c.sink = metrics.CoreSink{Sink: sink, Core: coreID}
 }
 
@@ -509,9 +492,6 @@ func (c *Core) fetch(now int64) {
 			line := c.hier.L1I.LineAddr(item.DI.PC)
 			if line != c.lastFetchLine {
 				lat := c.hier.Fetch(item.DI.PC)
-				if c.hblog != nil {
-					c.hblog.RecMem(c.hbtag, HBMemFetch, item.GSeq, lat)
-				}
 				c.lastFetchLine = line
 				if hit := c.hier.L1I.Config().LatencyCycles; lat > hit {
 					c.fetchStallUntil = now + int64(lat-hit)
@@ -1134,11 +1114,7 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 			// One predictor query per unissued older store, exactly as
 			// the full-queue scan made (the count drives the predictor's
 			// periodic clear).
-			wait := c.dep.MustWaitN(u.DI().PC, unissuedOlder)
-			if c.hblog != nil && c.dep.table != nil {
-				c.hblog.RecDep(c.hbtag, u.Item.GSeq, unissuedOlder, wait)
-			}
-			if wait {
+			if c.dep.MustWaitN(u.DI().PC, unissuedOlder) {
 				return false, 0
 			}
 			speculative = true
@@ -1172,9 +1148,6 @@ func (c *Core) loadReady(u *UOp, now int64) (bool, int) {
 		return true, 1
 	}
 	lat := c.hier.Load(u.DI().Addr)
-	if c.hblog != nil {
-		c.hblog.RecMem(c.hbtag, HBMemLoad, u.Item.GSeq, lat)
-	}
 	if c.hooks != nil {
 		lat += c.hooks.LoadExtraLatency(u)
 	}
@@ -1231,12 +1204,8 @@ func (c *Core) commit(now int64) {
 		}
 		d := u.DI()
 		if d.IsStore() {
-			lat := c.hier.Store(d.Addr)
-			if c.hblog != nil {
-				c.hblog.RecMem(c.hbtag, HBMemStore, u.Item.GSeq, lat)
-			}
+			c.hier.Store(d.Addr)
 		}
-		c.lastCommitAt = now
 		c.rob.popFront()
 		c.wdelete(u)
 		if d.IsLoad() {
@@ -1366,11 +1335,6 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 
 	if c.branchActive && c.branchGSeq >= gseq {
 		c.branchActive = false
-	}
-	if c.hb != nil {
-		// Before the rewind: the invalidation walk needs the pre-squash
-		// fetch frontier to bound the affected block-start range.
-		c.hbOnSquash(gseq)
 	}
 	c.stream.Rewind(gseq)
 	// Redirect: fetch restarts next cycle; the refill cost comes from

@@ -456,7 +456,7 @@ func TestRunTraceSummary(t *testing.T) {
 		addi r1, r1, -1
 		bne r1, r0, loop
 		halt`)
-	r, err := RunTrace(testConfig(), testHier(), tr)
+	r, err := RunTraceWith(testConfig(), testHier(), tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,3 @@ func (s *TraceStream) Rewind(gseq uint64) { s.pos = int(gseq) }
 
 // Exhausted implements Stream.
 func (s *TraceStream) Exhausted() bool { return s.pos >= s.tr.Len() }
-
-// Pos returns the stream's current trace position (the fetch frontier):
-// the index of the next instruction Peek will return.
-func (s *TraceStream) Pos() int { return s.pos }

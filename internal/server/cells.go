@@ -10,7 +10,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/resultcache"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -107,17 +106,6 @@ func cellKey(cfgJSON []byte, traceSum string, mode cmp.Mode, workload string) st
 		"cell", string(mode), workload)
 }
 
-// runCell simulates one cell directly on the engine, folding its
-// hot-block replay telemetry into the daemon aggregate (/metricz).
-// Every engine call of the cell runner funnels through here; cache hits
-// replay nothing and contribute nothing.
-func (s *Server) runCell(m config.Machine, mode cmp.Mode, tr *trace.Trace) (stats.Run, error) {
-	var hb hotblock.Counters
-	run, err := cmp.RunOpts(m, mode, tr, cmp.Options{HotBlock: &hb})
-	s.mergeHotBlock(hb)
-	return run, err
-}
-
 // cellRunner builds the CellFunc the engine executor installs on a
 // session: every clean cell is served from the result cache when
 // possible, computed and persisted otherwise. st (nil-safe) receives
@@ -155,7 +143,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 		s.nCellRuns.Add(1)
 		cfgJSON, err := cellConfig(m, mode)
 		if err != nil {
-			return s.runCell(m, mode, tr) // unkeyable, run uncached
+			return cmp.Run(m, mode, tr) // unkeyable, run uncached
 		}
 		key := cellKey(cfgJSON, sumOf(w, tr), mode, w.Name)
 		// computed captures the fresh run when its JSON encoding cannot
@@ -163,7 +151,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 		// and its result must be served, just not memoised.
 		var computed *stats.Run
 		env, hit, err := s.cache.GetOrComputeIf(key, func() ([]byte, bool, error) {
-			run, err := s.runCell(m, mode, tr)
+			run, err := cmp.Run(m, mode, tr)
 			if err != nil {
 				return nil, false, err
 			}
@@ -191,7 +179,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 				st.misses.Add(1)
 			}
 			s.nCellMisses.Add(1)
-			return s.runCell(m, mode, tr)
+			return cmp.Run(m, mode, tr)
 		}
 		var run stats.Run
 		if err := json.Unmarshal(env, &run); err != nil {
@@ -201,7 +189,7 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 				st.misses.Add(1)
 			}
 			s.nCellMisses.Add(1)
-			return s.runCell(m, mode, tr)
+			return cmp.Run(m, mode, tr)
 		}
 		if st != nil {
 			if hit {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cmp"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/hotblock"
 	"repro/internal/resultcache"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -291,15 +290,6 @@ func (e engineExecutor) Bench(ctx context.Context, req *BenchRequest) ([]byte, i
 	if req.Inject != "" {
 		session.Poison(req.Inject)
 	}
-	// Collect the hot-block telemetry of every cell this request
-	// simulates directly (no cell runner installed, or the runner's own
-	// engine calls feed the aggregate through Server.runCell) and fold it
-	// into the daemon aggregate for /metricz.
-	var hb hotblock.Counters
-	if e.srv != nil {
-		session.SetHotBlock(&hb)
-		defer func() { e.srv.mergeHotBlock(hb) }()
-	}
 	// Compose the document from memoised cells: with the store open and
 	// no chaos drill armed, every clean simulation cell of this request
 	// is served from (or persisted to) the cell cache, so overlapping
@@ -337,21 +327,7 @@ func (e engineExecutor) Sim(ctx context.Context, req *SimRequest) ([]byte, int, 
 	if err != nil {
 		return nil, 0, err
 	}
-	// Per-job telemetry counters, merged into the daemon aggregate after
-	// the fan-out (the same pattern fgstpsim uses for its coverage
-	// footer): jobs run concurrently, so each needs its own Counters.
-	hbc := make([]hotblock.Counters, len(jl))
-	for i := range jl {
-		jl[i].HotBlock = &hbc[i]
-	}
 	runs, errs := sched.RunJobsAllCtx(ctx, req.Jobs, jl)
-	if e.srv != nil {
-		var hb hotblock.Counters
-		for i := range hbc {
-			hb.Merge(hbc[i])
-		}
-		e.srv.mergeHotBlock(hb)
-	}
 	failed := 0
 	var firstErr error
 	for _, e := range errs {

@@ -9,24 +9,18 @@
 #   bench smoke     one iteration of the E2 benchmark, proving the
 #                   experiment harness end-to-end
 #   fuzz smoke      5s of the trace-loader fuzzer: corrupt bytes must
-#                   error, never panic; plus 5s of the hot-block replay
-#                   fuzzer: memoized drains must match the ticked engine
-#                   on arbitrary trace shapes
+#                   error, never panic; plus 5s of the drain fuzzer: the
+#                   event-skipping drain must match the ticked engine on
+#                   arbitrary trace and machine shapes
 #   degraded smoke  fgstpbench with an injected livelock must finish
 #                   the experiment, exit 1, and print byte-identical
 #                   reports for -jobs 1 and -jobs 4
 #   json smoke      fgstpbench -format json must emit a valid export
 #                   (scripts/jsoncheck) byte-identical across -jobs,
 #                   and fgstpsim -tracejson a valid Chrome trace
-#   hotblock smoke  fgstpbench -experiment all output must be
-#                   byte-identical with hot-block memoization on and
-#                   off, at -jobs 1 and 4 (replay is a pure speedup,
-#                   never a result change) — the full-suite run covers
-#                   the fgstp mode, whose pair templates now replay;
-#                   plus coverage floors: an fgstp workload must replay
-#                   pair templates and a streaming workload must arm
-#                   periodic-miss templates (nonzero counters in the
-#                   fgstpsim footer)
+#   jobs smoke      fgstpbench -experiment all -format json must be
+#                   byte-identical at -jobs 1 and 4 (every experiment and
+#                   every machine mode, not just E2)
 #   sampled smoke   scripts/simpointcheck on a fixed workload set: the
 #                   checkpointed SimPoint estimate's 95% confidence
 #                   interval must contain the full-run IPC in every
@@ -59,8 +53,8 @@ go test -run='^$' -bench=E2 -benchtime=1x .
 echo "== fuzz smoke (trace loader, 5s)"
 go test -run='^$' -fuzz=FuzzTraceLoad -fuzztime=5s ./internal/trace
 
-echo "== fuzz smoke (hot-block replay, 5s)"
-go test -run='^$' -fuzz=FuzzHotBlockReplay -fuzztime=5s ./internal/ooo
+echo "== fuzz smoke (skipping drain vs ticked, 5s)"
+go test -run='^$' -fuzz=FuzzDrainVsTicked -fuzztime=5s ./internal/ooo
 
 echo "== degraded-run smoke (injected livelock, exit 1, jobs-determinism)"
 tmp="$(mktemp -d)"
@@ -93,43 +87,13 @@ go build -o "$tmp/fgstpsim" ./cmd/fgstpsim
 grep -q '"traceEvents"' "$tmp/pipe.json" || {
     echo "pipeline trace missing traceEvents"; exit 1; }
 
-echo "== hot-block byte-identity smoke (all experiments, -hotblock=0 vs on, jobs 1 vs 4)"
-# -experiment all covers every mode, including fgstp cells whose pair
-# templates arm and replay at this budget — the byte-identity therefore
-# proves the joint pair engine, not just the per-core one.
+echo "== all-experiments jobs-determinism smoke (-jobs 1 vs 4)"
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 1 \
-    >"$tmp/allhb1.json" 2>/dev/null
+    >"$tmp/all1.json" 2>/dev/null
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 4 \
-    >"$tmp/allhb4.json" 2>/dev/null
-cmp "$tmp/allhb1.json" "$tmp/allhb4.json" || {
+    >"$tmp/all4.json" 2>/dev/null
+cmp "$tmp/all1.json" "$tmp/all4.json" || {
     echo "-experiment all export differs between -jobs 1 and -jobs 4"; exit 1; }
-"$tmp/fgstpbench" -experiment all -insts 3000 -format json -hotblock=0 -jobs 1 \
-    >"$tmp/allnohb1.json" 2>/dev/null
-"$tmp/fgstpbench" -experiment all -insts 3000 -format json -hotblock=0 -jobs 4 \
-    >"$tmp/allnohb4.json" 2>/dev/null
-cmp "$tmp/allnohb1.json" "$tmp/allnohb4.json" || {
-    echo "-hotblock=0 -experiment all export differs between -jobs 1 and -jobs 4"; exit 1; }
-cmp "$tmp/allhb1.json" "$tmp/allnohb1.json" || {
-    echo "-experiment all export differs between -hotblock on and off"; exit 1; }
-
-echo "== hot-block coverage smoke (fgstp pair replay, streaming periodic-miss)"
-# The fgstp pair must replay joint templates on a loop-heavy workload,
-# and a streaming workload (mcf's pointer chase misses the L1 on every
-# iteration) must arm periodic-miss templates — both were 0 by design
-# before the pair/periodic-miss template kinds existed.
-"$tmp/fgstpsim" -workload hmmer -insts 20000 -machine medium -mode fgstp \
-    -format json >/dev/null 2>"$tmp/hb_hmmer.log"
-pair="$(sed -n 's/.*, \([0-9][0-9]*\) pair replays)$/\1/p' "$tmp/hb_hmmer.log")"
-[ -n "$pair" ] && [ "$pair" -gt 0 ] || {
-    echo "fgstp mode replayed no pair templates on hmmer"; cat "$tmp/hb_hmmer.log"; exit 1; }
-"$tmp/fgstpsim" -workload mcf -insts 20000 -machine medium -mode fgstp \
-    -format json >/dev/null 2>"$tmp/hb_mcf.log"
-periodic="$(awk '$2 == "hotblock_templates_periodic" {print int($3)}' "$tmp/hb_mcf.log")"
-[ -n "$periodic" ] && [ "$periodic" -gt 0 ] || {
-    echo "streaming workload mcf armed no periodic-miss templates"; cat "$tmp/hb_mcf.log"; exit 1; }
-pair="$(sed -n 's/.*, \([0-9][0-9]*\) pair replays)$/\1/p' "$tmp/hb_mcf.log")"
-[ -n "$pair" ] && [ "$pair" -gt 0 ] || {
-    echo "streaming workload mcf replayed no pair templates"; cat "$tmp/hb_mcf.log"; exit 1; }
 
 echo "== sampled-accuracy smoke (estimate CI covers full-run IPC)"
 go run ./scripts/simpointcheck
