@@ -132,6 +132,12 @@ type Machine struct {
 
 	pendingStores [2]*storeTracker
 
+	// remote lists consumers asleep on a cross-core operand whose
+	// producer has not issued (ExtReadyAt answered farFuture): the
+	// producer's OnIssue wakes them. Preallocated to the two windows, so
+	// enrolment never allocates.
+	remote []remoteWaiter
+
 	hasSquash     bool
 	pendingSquash uint64
 
@@ -154,6 +160,15 @@ type Machine struct {
 	SpecLoads       uint64
 	GatedLoads      uint64
 	ForwardedRemote uint64
+}
+
+// remoteWaiter is one consumer uop on core asleep until producer p
+// issues; g is its gseq at enrolment, which a recycled uop no longer
+// carries.
+type remoteWaiter struct {
+	u    *ooo.UOp
+	g, p uint64
+	core int
 }
 
 // Faults is the fault-injection surface of the Fg-STP machine: the
@@ -188,6 +203,7 @@ func NewMachine(cfg config.Machine, tr *trace.Trace) (*Machine, error) {
 	m.deliver[1] = gseqtab.New[int64](span)
 	m.pendingStores[0] = newStoreTracker()
 	m.pendingStores[1] = newStoreTracker()
+	m.remote = make([]remoteWaiter, 0, 2*cfg.Core.ROBSize)
 
 	f := cfg.FgSTP
 	depBits := f.DepPredBits
@@ -332,6 +348,15 @@ func (m *Machine) applySquash(now int64) {
 		m.deliver[i].DeleteRange(g, hi)
 	}
 	m.completeAt.DeleteRange(g, hi)
+	// Squashed consumers are recycled: drop their enrolments.
+	w := 0
+	for _, e := range m.remote {
+		if e.g < g {
+			m.remote[w] = e
+			w++
+		}
+	}
+	m.remote = m.remote[:w]
 	if m.storeSets != nil {
 		for set, gs := range m.ssLast {
 			if gs >= g {
@@ -372,17 +397,33 @@ type coreHooks struct {
 
 // ExtReadyAt implements ooo.Hooks: the operand arrives through the
 // inter-core channel once its producer completes; the grant is computed
-// lazily and memoised.
+// lazily and memoised. Without an injector every answer is binding: a
+// memoised grant stands, and an unissued producer's consumer sleeps on
+// m.remote until OnIssue records the completion a re-poll would find.
 func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 	m := h.m
-	if m.faults != nil && m.faults.ChannelStalled(h.id, now) {
-		// Injected fault: the channel refuses the grant this cycle. Do
-		// not memoise — the consumer re-polls and recovers if the stall
-		// is transient.
-		return farFuture
-	}
 	p := u.Item.Deps[srcIdx].Producer
-	if t, ok := m.deliver[h.id].Get(p); ok {
+	if m.faults != nil {
+		// An injected stall can end at any cycle: nothing is binding, so
+		// the consumer re-polls every cycle. A refused grant is not
+		// memoised — the consumer recovers if the stall is transient.
+		if m.faults.ChannelStalled(h.id, now) {
+			return now + 1
+		}
+		return min(m.extGrant(h.id, p, now), now+1)
+	}
+	t := m.extGrant(h.id, p, now)
+	if t == farFuture {
+		m.remote = append(m.remote, remoteWaiter{u: u, g: u.GSeq(), p: p, core: h.id})
+	}
+	return t
+}
+
+// extGrant returns the delivery cycle of producer p's value into core
+// dst, granting a channel slot on first request once p's completion is
+// known, or farFuture while p has not issued.
+func (m *Machine) extGrant(dst int, p uint64, now int64) int64 {
+	if t, ok := m.deliver[dst].Get(p); ok {
 		return t
 	}
 	ct, ok := m.completeAt.Get(p)
@@ -391,17 +432,38 @@ func (h *coreHooks) ExtReadyAt(u *ooo.UOp, srcIdx int, now int64) int64 {
 			// Producer committed before this consumer dispatched (its
 			// timing record may be pruned): the value travelled with
 			// the committed state merge; charge one transfer from now.
-			t := m.chans[h.id].grant(now)
-			m.deliver[h.id].Put(p, t)
-			m.emitTransfer(now, t, h.id, p)
+			t := m.chans[dst].grant(now)
+			m.deliver[dst].Put(p, t)
+			m.emitTransfer(now, t, dst, p)
 			return t
 		}
 		return farFuture
 	}
-	t := m.chans[h.id].grant(ct)
-	m.deliver[h.id].Put(p, t)
-	m.emitTransfer(ct, t, h.id, p)
+	t := m.chans[dst].grant(ct)
+	m.deliver[dst].Put(p, t)
+	m.emitTransfer(ct, t, dst, p)
 	return t
+}
+
+// wakeRemote wakes the consumers enrolled on producer g, which just
+// issued. Core 0 cycles before core 1, so a consumer on core 1 re-polls
+// in this very cycle and one on core 0 in the next — in both cases the
+// first cycle a polling scan would have seen g's completion.
+func (m *Machine) wakeRemote(g uint64) {
+	w := 0
+	for i, e := range m.remote {
+		if e.p != g {
+			if w != i {
+				m.remote[w] = e
+			}
+			w++
+			continue
+		}
+		if e.u.GSeq() == e.g {
+			m.cores[e.core].WakeExt(e.u)
+		}
+	}
+	m.remote = m.remote[:w]
 }
 
 // emitTransfer records a value crossing the inter-core channel into
@@ -490,6 +552,9 @@ func (h *coreHooks) OnIssue(u *ooo.UOp, now int64) {
 	m := h.m
 	if !u.Item.Replica {
 		m.completeAt.Put(u.GSeq(), u.CompleteAt())
+		if len(m.remote) > 0 {
+			m.wakeRemote(u.GSeq())
+		}
 	}
 	if u.DI().IsStore() {
 		m.pendingStores[h.id].markIssued(u.GSeq())

@@ -54,19 +54,26 @@ type UOp struct {
 	// operandsReady call (-1: none); see operandsReady for why checking
 	// it first is exact.
 	waitSrc int8
+	// extSleep records that the blocking source is external: wakeAt is
+	// then the hooks' binding answer (see Hooks.ExtReadyAt), and the
+	// issue scan stamps extWaitAt each cycle it passes the sleeper, as a
+	// failing re-poll would have.
+	extSleep bool
 	// wakeAt is the earliest cycle the blocked source can answer ready:
 	// the exact ready time when blocked on an issued local producer
 	// (its schedule is fixed), sleepForever when blocked on an unissued
-	// one (startExec wakes the waiter chain), else the next cycle
-	// (external deliveries must be re-polled). The issue scan skips the
-	// uop until then; see srcReady for why that is exact.
+	// one (startExec wakes the waiter chain), else the hooks' binding
+	// ExtReadyAt answer (WakeExt ends it early). The issue scan skips
+	// the uop until then; see srcReady for why that is exact.
 	wakeAt int64
 	// Producer-issue wakeup chain: waiters heads the intrusive list of
 	// uops sleeping until THIS uop issues; nextWaiter links a sleeping
 	// uop into its blocking producer's list, and waitingOn records that
-	// producer's gseq (freedGSeq: not enqueued). SquashFrom purges
-	// squashed entries from surviving chains before any uop is recycled,
-	// so a live chain never crosses a recycled link.
+	// producer's gseq (freedGSeq: not enqueued). A uop on a chain is off
+	// the candidate list; the chain is its only reference until
+	// startExec splices it back. SquashFrom purges squashed entries
+	// from surviving chains before any uop is recycled, so a live chain
+	// never crosses a recycled link.
 	waiters    *UOp
 	nextWaiter *UOp
 	waitingOn  uint64
@@ -114,6 +121,16 @@ type Hooks interface {
 	// ExtReadyAt returns the cycle at which source srcIdx of u (whose
 	// producer is not local to this core) becomes usable. Return 0 for
 	// architecturally-ready values; return a future cycle to stall.
+	//
+	// A future answer t is binding: the core does not poll the source
+	// again before cycle t unless the implementation calls
+	// Core.WakeExt(u) first. An implementation whose answer is not yet
+	// computable (the producer has not issued) returns a far-future
+	// cycle and must call WakeExt once it may have changed, in time for
+	// the first cycle a re-poll could answer differently; one whose
+	// answer can change without notice (an injected fault) returns
+	// now+1, which re-polls every cycle. A spurious WakeExt costs only
+	// a re-poll; a missed one stalls the uop.
 	ExtReadyAt(u *UOp, srcIdx int, now int64) int64
 	// LoadGate reports whether the load u may issue at now, considering
 	// cross-core memory ordering. speculative marks issues that bypass
@@ -175,10 +192,14 @@ type Core struct {
 	pool []*UOp
 	defq uopRing
 
-	// cand lists dispatched-but-unissued uops in GSeq order: the issue
-	// stage scans only these instead of the whole ROB. budgets is the
-	// per-cluster issue-resource scratch reused every cycle.
+	// cand lists dispatched-but-unissued uops in GSeq order, minus those
+	// asleep on an unissued local producer (they wait on its waiter
+	// chain): the issue stage scans only these instead of the whole ROB.
+	// woken collects the waiters startExec releases, for the running
+	// scan to splice back in. budgets is the per-cluster issue-resource
+	// scratch reused every cycle.
 	cand    []*UOp
+	woken   []*UOp
 	budgets []issueBudget
 
 	// scanIdle records that the last issue scan found every candidate
@@ -193,6 +214,11 @@ type Core struct {
 	// older than it skip the unknown-address scan entirely.
 	sqUnissued       int
 	sqOldestUnissued uint64
+
+	// finDone counts the ROB prefix known finished (issued, complete)
+	// as of cycle finAt; OldestUnfinished resumes its scan there.
+	finDone int
+	finAt   int64
 
 	fetchStallUntil int64
 	lastFetchLine   uint64
@@ -262,6 +288,7 @@ func NewCore(cfg Config, hier *mem.Hierarchy, stream Stream, hooks Hooks) (*Core
 		wtab:             make([]*UOp, wsize),
 		wmask:            uint64(wsize - 1),
 		cand:             make([]*UOp, 0, cfg.ROBSize),
+		woken:            make([]*UOp, 0, cfg.ROBSize),
 		budgets:          make([]issueBudget, cfg.Clusters),
 		iqCount:          make([]int, cfg.Clusters),
 		sqOldestUnissued: freedGSeq,
@@ -768,13 +795,14 @@ func kindOf(cl isa.Class) fuKind {
 }
 
 // issue walks the unissued-candidate list (the ROB minus everything
-// already executing) in program order, issuing whatever has operands
-// and resources, and compacts the issued entries out of the list.
+// already executing, and minus the uops asleep on an unissued local
+// producer) in program order, issuing whatever has operands and
+// resources, and compacts the issued entries out of the list.
 func (c *Core) issue(now int64) {
 	if c.scanIdle && now < c.nextWake {
 		// Every candidate was asleep last scan and none can wake before
-		// nextWake; dispatch and squash clear the flag when they change
-		// the list. Skipping the scan repeats no observable work.
+		// nextWake; dispatch, squash and WakeExt clear the flag when they
+		// change the list. Skipping the scan repeats no observable work.
 		return
 	}
 	c.scanIdle = false
@@ -807,7 +835,16 @@ func (c *Core) issue(now int64) {
 		if u.wakeAt > now {
 			// Provably not ready before wakeAt; re-probing would only
 			// repeat pure reads (see srcReady).
-			if u.wakeAt < minWake {
+			if u.extSleep {
+				// A polling scan would re-poll the channel here and stamp
+				// the failure — if tryIssue got past its slot check.
+				// Stamping keeps the channel-wait attribution; the sleeper
+				// keeps the scan running so the stamp stays current.
+				if budgets[u.Cluster].slots > 0 {
+					u.extWaitAt = now
+				}
+				allSleep = false
+			} else if u.wakeAt < minWake {
 				minWake = u.wakeAt
 			}
 			if w != i {
@@ -817,15 +854,24 @@ func (c *Core) issue(now int64) {
 			continue
 		}
 		allSleep = false
-		if !c.tryIssue(u, now, budgets) {
-			// Compact in place; skip the (write-barriered) store while
-			// the list is still dense.
+		if c.tryIssue(u, now, budgets) {
+			free--
+			if len(c.woken) > 0 {
+				// The issue released waiters: splice them into the
+				// unprocessed tail so this scan still reaches them.
+				var next int
+				cand, next = c.spliceWoken(cand, w, i+1)
+				i = next - 1
+			}
+		} else if u.wakeAt != sleepForever || u.extSleep {
+			// Still a candidate: one asleep on an unissued local producer
+			// is dropped, as its waiter chain holds it and startExec
+			// brings it back. Compact in place; skip the
+			// (write-barriered) store while the list is still dense.
 			if w != i {
 				cand[w] = u
 			}
 			w++
-		} else {
-			free--
 		}
 		if c.hasViolation {
 			// Squash pending; stop issuing. The unprocessed tail stays
@@ -839,12 +885,51 @@ func (c *Core) issue(now int64) {
 	}
 	c.cand = cand[:w]
 	if allSleep {
-		// Nothing was probed: the list (possibly empty) is all sleepers.
-		// The oldest candidate never sleeps on an unissued producer (its
-		// producers, being older, would precede it in the list), so
-		// minWake is finite whenever the list is non-empty.
+		// Nothing was probed: the list (possibly empty) is all timed
+		// sleepers, so minWake is finite whenever it is non-empty.
 		c.scanIdle, c.nextWake = true, minWake
 	}
+}
+
+// spliceWoken merges c.woken — waiters just released by an issuing
+// producer, all younger than it — into the unprocessed scan tail
+// cand[tail:], in GSeq order, and returns the list and the index where
+// its unprocessed part now starts. The merged run starts k = len(woken)
+// slots before tail, reusing the slots the scan has already compacted
+// away (the issued producer's at least), so only tail entries older
+// than the youngest waiter move. When fewer than k slots are free the
+// tail first shifts right; it fits, because kept entries, tail and
+// waiters are distinct unissued ROB entries.
+func (c *Core) spliceWoken(cand []*UOp, w, tail int) ([]*UOp, int) {
+	ws := c.woken
+	for a := 1; a < len(ws); a++ {
+		for b := a; b > 0 && ws[b].Item.GSeq < ws[b-1].Item.GSeq; b-- {
+			ws[b], ws[b-1] = ws[b-1], ws[b]
+		}
+	}
+	start := tail - len(ws)
+	if start < w {
+		d := w - start
+		cand = cand[:len(cand)+d]
+		copy(cand[tail+d:], cand[tail:])
+		tail += d
+		start = w
+	}
+	j, k := tail, start
+	for _, x := range ws {
+		for j < len(cand) && cand[j].Item.GSeq < x.Item.GSeq {
+			cand[k] = cand[j]
+			k++
+			j++
+		}
+		cand[k] = x
+		k++
+	}
+	for i := range ws {
+		ws[i] = nil
+	}
+	c.woken = ws[:0]
+	return cand, start
 }
 
 // tryIssue attempts to start u's execution at now; it reports whether
@@ -941,15 +1026,17 @@ func (c *Core) startExec(u *UOp, now int64, lat int) {
 	if c.branchActive && u.Item.GSeq == c.branchGSeq {
 		c.branchResume = u.completeAt + int64(c.cfg.ExtraMispredictPenalty)
 	}
-	// Wake consumers sleeping on this producer. They sit later in the
-	// candidate list (younger), so the current scan revisits them after
-	// this issue — the same cycle a polling scan would notice.
+	// Wake consumers sleeping on this producer. They are younger, so the
+	// current scan splices them into its unprocessed tail (see issue)
+	// and probes them after this issue — the same cycle a polling scan
+	// would notice.
 	for wtr := u.waiters; wtr != nil; {
 		nxt := wtr.nextWaiter
 		if wtr.waitingOn == u.Item.GSeq {
 			wtr.waitingOn = freedGSeq
 			wtr.nextWaiter = nil
 			wtr.wakeAt = 0
+			c.woken = append(c.woken, wtr)
 		}
 		wtr = nxt
 	}
@@ -1021,14 +1108,16 @@ func (c *Core) operandsReady(u *UOp, now int64) bool {
 func (c *Core) srcReady(u *UOp, i int, now int64) bool {
 	if u.ext[i] {
 		if t := c.hooks.ExtReadyAt(u, i, now); t > now {
+			// The answer is binding (see Hooks.ExtReadyAt): sleep until t
+			// or until WakeExt, while the scan keeps stamping extWaitAt.
 			u.extWaitAt = now
-			// External delivery estimates are not binding (fault
-			// injection can defer them): re-poll every cycle.
-			u.wakeAt = now + 1
+			u.extSleep = true
+			u.wakeAt = t
 			return false
 		}
 		return true
 	}
+	u.extSleep = false
 	p := u.prods[i]
 	if p == nil {
 		return true
@@ -1048,6 +1137,7 @@ func (c *Core) srcReady(u *UOp, i int, now int64) bool {
 		// state — and the wake re-probe happens in the same scan that
 		// issues the producer (consumers are younger, hence later in the
 		// candidate list), just as a polling scan would re-poll it.
+		// The issue scan then drops the uop from the candidate list.
 		if u.waitingOn != p.Item.GSeq {
 			u.waitingOn = p.Item.GSeq
 			u.nextWaiter = p.waiters
@@ -1207,6 +1297,9 @@ func (c *Core) commit(now int64) {
 			c.hier.Store(d.Addr)
 		}
 		c.rob.popFront()
+		if c.finDone > 0 {
+			c.finDone--
+		}
 		c.wdelete(u)
 		if d.IsLoad() {
 			c.lq.popFront()
@@ -1286,9 +1379,11 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 	// BEFORE any squashed uop is recycled: freeUOp zeroes the links a
 	// live chain still traverses, and a recycled waiter could later be
 	// re-enqueued elsewhere, corrupting both chains. Only unissued uops
-	// hold waiters, and those are exactly the candidate list.
-	for _, v := range c.cand {
-		if v.waiters == nil {
+	// hold waiters; a producer may itself be asleep off the candidate
+	// list, so walk the surviving ROB.
+	for j := 0; j < cut; j++ {
+		v := c.rob.at(j)
+		if v.issued || v.waiters == nil {
 			continue
 		}
 		var keep *UOp
@@ -1309,6 +1404,9 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 		c.freeUOp(c.rob.at(j))
 	}
 	c.rob.truncateFrom(cut)
+	if c.finDone > cut {
+		c.finDone = cut
+	}
 
 	// Recount the unissued-store watermark over the surviving SQ.
 	c.sqUnissued = 0
@@ -1352,9 +1450,17 @@ func (c *Core) SquashFrom(gseq uint64, now int64) {
 // knows about that has not finished executing by cycle now (in the ROB
 // or still in the fetch queue). ok=false means everything the core
 // holds is complete.
+//
+// An issued uop's completion time is fixed, so the finished prefix only
+// grows while now does: the scan resumes after the prefix found last
+// call (commit pops and squashes shrink it; an earlier now restarts it).
 func (c *Core) OldestUnfinished(now int64) (uint64, bool) {
-	for i := 0; i < c.rob.len(); i++ {
-		u := c.rob.at(i)
+	if now < c.finAt {
+		c.finDone = 0
+	}
+	c.finAt = now
+	for ; c.finDone < c.rob.len(); c.finDone++ {
+		u := c.rob.at(c.finDone)
 		if !u.issued || u.completeAt > now {
 			return u.Item.GSeq, true
 		}
@@ -1363,6 +1469,14 @@ func (c *Core) OldestUnfinished(now int64) (uint64, bool) {
 		return c.fetchq.front().Item.GSeq, true
 	}
 	return 0, false
+}
+
+// WakeExt ends u's sleep on an external operand: the next issue scan
+// re-polls it through Hooks.ExtReadyAt. The hooks call it when an
+// answer they gave may have changed (see Hooks.ExtReadyAt).
+func (c *Core) WakeExt(u *UOp) {
+	u.wakeAt = 0
+	c.scanIdle = false
 }
 
 // HasIssuedStoreBelow reports whether an issued, still-uncommitted

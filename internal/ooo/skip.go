@@ -3,9 +3,9 @@ package ooo
 // Event-driven time advance. A cycle is *dead* when every pipeline
 // stage would run and change nothing observable: nothing retires, no
 // candidate can issue, the fetch-queue head cannot dispatch, and fetch
-// is stalled (or has nothing to fetch). The PR-4 wake-time bookkeeping
-// already computes exactly when the next state change can happen —
-// NextEvent reads it out, and SkipTo replays, in bulk, the only
+// is stalled (or has nothing to fetch). The issue stage's wake-time
+// bookkeeping already computes exactly when the next state change can
+// happen — NextEvent reads it out, and SkipTo replays, in bulk, the only
 // mutations a ticked run of the dead span would have made (cycle
 // counters, CPI-stack attribution, per-cycle stall counters, and the
 // extWaitAt/wakeAt restamps of failed channel polls). The run loops in
@@ -93,16 +93,16 @@ func (c *Core) NextEvent(now int64, gate CommitGate) int64 {
 		}
 	}
 
-	// Issue: every candidate is either asleep until a known wake time,
-	// or awake but blocked on an external operand — which must be
-	// re-polled *live* here, because a cached estimate goes stale the
-	// moment the remote producer issues (the sibling core's event does
-	// not refresh this core's candidates). The poll is exactly the one
-	// a ticked scan would make this cycle: on a dead cycle no candidate
-	// issues, so the scan's budgets never run out and it probes every
-	// awake candidate in list order — the same order as this walk — and
-	// ExtReadyAt memoises, so when a later candidate turns out to be an
-	// event, the real cycle's scan repeats these polls as pure reads.
+	// Issue: every candidate is either asleep until a known wake time
+	// (a channel sleeper's binding answer included), or awake but
+	// blocked on an external operand — one WakeExt just released, whose
+	// producer has issued since it last polled. That one is re-polled
+	// *live* here. The poll is exactly the one a ticked scan would make
+	// this cycle: on a dead cycle no candidate issues, so the scan's
+	// budgets never run out and it probes every awake candidate in list
+	// order — the same order as this walk — and ExtReadyAt memoises, so
+	// when a later candidate turns out to be an event, the real cycle's
+	// scan repeats these polls as pure reads.
 	if c.scanIdle && now < c.nextWake {
 		if c.nextWake < next {
 			next = c.nextWake
@@ -184,23 +184,28 @@ func (c *Core) SkipTo(from, to int64) {
 		}
 	}
 
-	// Issue stage: either the whole scan idles (all candidates asleep —
-	// the first dead cycle records the idle watermark exactly as a
-	// ticked scan would), or the awake, channel-blocked candidates are
-	// re-polled every cycle, each poll restamping extWaitAt/wakeAt. The
-	// span's last poll happens at to-1.
+	// Issue stage: either the whole scan idles (all candidates asleep on
+	// timed local wakes — the first dead cycle records the idle
+	// watermark exactly as a ticked scan would), or the scan runs every
+	// cycle and restamps extWaitAt on each channel-blocked candidate:
+	// a sleeper whose binding answer lies past the span (the scan passes
+	// it with every slot free), or an awake one NextEvent re-polled live
+	// (its failing poll restamps wakeAt too; re-polling at `to` is a
+	// pure read). The span's last stamp happens at to-1.
 	if !(c.scanIdle && from < c.nextWake) {
 		probed := false
 		minWake := sleepForever
 		for _, u := range c.cand {
-			if u.wakeAt > from {
+			if u.wakeAt > from && !u.extSleep {
 				if u.wakeAt < minWake {
 					minWake = u.wakeAt
 				}
 				continue
 			}
 			u.extWaitAt = to - 1
-			u.wakeAt = to
+			if u.wakeAt <= from {
+				u.wakeAt = to
+			}
 			probed = true
 		}
 		if !probed {

@@ -1,5 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything a change must pass before it lands.
+#   gofmt           every Go file is gofmt-formatted (any file gofmt -l
+#                   lists fails the gate)
 #   go vet          static checks
 #   go build        whole-tree compile (commands and examples included)
 #   go test -race   unit + guard tests under the race detector; this is
@@ -9,9 +11,11 @@
 #   bench smoke     one iteration of the E2 benchmark, proving the
 #                   experiment harness end-to-end
 #   fuzz smoke      5s of the trace-loader fuzzer: corrupt bytes must
-#                   error, never panic; plus 5s of the drain fuzzer: the
-#                   event-skipping drain must match the ticked engine on
-#                   arbitrary trace and machine shapes
+#                   error, never panic; plus 5s each of the single-core
+#                   and the two-core drain fuzzers: the event-skipping
+#                   drain must match the ticked engine on arbitrary
+#                   trace and machine shapes (the two-core one covers the
+#                   cross-core wake paths)
 #   degraded smoke  fgstpbench with an injected livelock must finish
 #                   the experiment, exit 1, and print byte-identical
 #                   reports for -jobs 1 and -jobs 4
@@ -38,6 +42,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+[ -z "$unformatted" ] || { echo "gofmt needed:"; echo "$unformatted"; exit 1; }
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -55,6 +63,9 @@ go test -run='^$' -fuzz=FuzzTraceLoad -fuzztime=5s ./internal/trace
 
 echo "== fuzz smoke (skipping drain vs ticked, 5s)"
 go test -run='^$' -fuzz=FuzzDrainVsTicked -fuzztime=5s ./internal/ooo
+
+echo "== fuzz smoke (two-core skipping drain vs ticked, 5s)"
+go test -run='^$' -fuzz=FuzzPairDrainVsTicked -fuzztime=5s ./internal/core
 
 echo "== degraded-run smoke (injected livelock, exit 1, jobs-determinism)"
 tmp="$(mktemp -d)"
