@@ -6,8 +6,8 @@
 // Experiments fan their independent simulations out over a worker pool
 // (internal/sched); -jobs sets the worker count. Results are
 // byte-identical for any -jobs value and any -format, so stdout can be
-// diffed between serial and parallel runs — wall-time and memory
-// reporting goes to stderr.
+// diffed between serial and parallel runs — wall-time, memory and
+// cell-reuse reporting goes to stderr.
 //
 // Usage:
 //
@@ -123,8 +123,8 @@ func run() int {
 	}
 
 	// One session across all experiments: the single-flight caches
-	// capture each workload trace and baseline run once for the whole
-	// invocation instead of once per experiment.
+	// capture each workload trace and simulate each distinct cell once
+	// for the whole invocation instead of once per experiment.
 	session := experiments.NewSession(*insts, *jobs)
 	if *inject != "" {
 		if _, ok := workloads.ByName(*inject); !ok {
@@ -171,6 +171,8 @@ func run() int {
 	if rss, ok := metrics.PeakRSS(); ok {
 		fmt.Fprintf(os.Stderr, "fgstpbench: peak RSS %.1f MiB\n", float64(rss)/(1<<20))
 	}
+	simulated, reused := session.CellCounts()
+	fmt.Fprintf(os.Stderr, "fgstpbench: cells: %d simulated, %d reused\n", simulated, reused)
 	if failedCells > 0 {
 		fmt.Fprintf(os.Stderr, "fgstpbench: %d simulation cell(s) failed; see FAIL lines above\n", failedCells)
 		return 1

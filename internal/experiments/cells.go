@@ -13,13 +13,52 @@ import (
 
 // A simulation *cell* is the atomic unit every experiment decomposes
 // into: one cmp run of one execution mode on one workload trace under
-// one machine configuration. The experiment harness reaches the engine
-// exclusively through runner.cellRun below, which makes the cell the
-// natural granularity for external memoisation: the fgstpd daemon
-// installs a CellFunc that serves cells from its content-addressed
-// result cache, so overlapping experiments (E2 and E4 share every
-// medium single-core and full-fabric Fg-STP cell) and repeated sweeps
-// share work automatically.
+// one machine configuration. Its identity is the canonical machine
+// (canonicalCell below, rendered by CellConfig) plus the mode and the
+// workload (plus the trace, which a session fixes by its budget). Two
+// places key on that identity: the session's single-flight cell cache
+// (runner.runOf), so each distinct cell runs at most once per session
+// however many experiments ask for it, and the fgstpd daemon's
+// content-addressed result cache, installed as a CellFunc below the
+// session cache, so repeated requests and sweeps share cells across
+// sessions.
+
+// canonicalCell is the one definition of a cell's machine identity:
+// the validated machine with the sections mode never reads blanked, so
+// a single-core cell of an Fg-STP fabric sweep is the same cell in
+// every fabric variant. Every mode reads Name, Core and Hier; only
+// Core Fusion reads Fusion, only the Fg-STP pair reads the fabric
+// parameters. An invalid machine has no identity: canonicalCell
+// returns the validation error every mode's run would fail with (runs
+// validate every section), so a blanked section can never make an
+// invalid machine share a valid one's result.
+func canonicalCell(m config.Machine, mode cmp.Mode) (config.Machine, error) {
+	if err := m.Validate(); err != nil {
+		return config.Machine{}, err
+	}
+	switch mode {
+	case cmp.ModeSingle:
+		m.Fusion = config.FusionOverheads{}
+		m.FgSTP = config.FgSTP{}
+	case cmp.ModeFusion:
+		m.FgSTP = config.FgSTP{}
+	case cmp.ModeFgSTP:
+		m.Fusion = config.FusionOverheads{}
+	}
+	return m, nil
+}
+
+// CellConfig renders a cell's machine identity (see canonicalCell) as
+// indented JSON, the form the fgstpd result cache hashes into its cell
+// keys. Every field a mode reads is part of it; TestCellConfigInvariance
+// checks that field by field.
+func CellConfig(m config.Machine, mode cmp.Mode) ([]byte, error) {
+	c, err := canonicalCell(m, mode)
+	if err != nil {
+		return nil, err
+	}
+	return c.ToJSON()
+}
 
 // CellFunc runs one simulation cell. The trace is the session's shared
 // immutable capture of w at the session budget; implementations must
@@ -30,17 +69,18 @@ import (
 // for concurrent use.
 type CellFunc func(m config.Machine, mode cmp.Mode, w workloads.Workload, tr *trace.Trace) (stats.Run, error)
 
-// SetCellRunner intercepts every clean simulation cell of the session
-// with fn (nil restores the direct engine path). Poisoned cells
-// (Session.Poison) never reach the runner: a fault-injected run is
-// deliberately outside any memoisation contract.
+// SetCellRunner intercepts every clean simulation cell the session
+// simulates with fn (nil restores the direct engine path). It sits
+// below the session's cell cache, so fn sees each distinct cell at
+// most once per session. Poisoned cells (Session.Poison) never reach
+// the runner: a fault-injected run is deliberately outside any
+// memoisation contract.
 func (s *Session) SetCellRunner(fn CellFunc) { s.r.cell = fn }
 
 // cellRun is the single interception point between the experiment
-// harness and the simulation engine: every clean cell of every
-// experiment funnels through here (the in-session single-flight
-// baseline caches sit above it, so a session still runs each shared
-// baseline cell at most once).
+// harness and the simulation engine: every clean cell the session
+// simulates funnels through here, once per distinct cell (the
+// session's cell cache in runOf sits above it).
 func (r *runner) cellRun(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
 	tr := r.traceOf(w)
 	if r.cell != nil {
@@ -61,11 +101,12 @@ type Cell struct {
 
 // Cells enumerates the simulation cells experiment id will run at the
 // given per-cell instruction budget (0 picks the default of 100k), in
-// deterministic submission order, by executing the experiment under a
-// recording stub cell runner — no engine simulation runs, only trace
-// capture. The enumeration mirrors execution exactly: cells deduped by
-// the session's single-flight baseline caches appear once, repeated
-// Fg-STP cells of distinct fabric variants appear per variant.
+// deterministic submission order, by executing the experiment in a
+// fresh session under a recording stub cell runner — no engine
+// simulation runs, only trace capture. The enumeration mirrors
+// execution exactly: each distinct cell appears once (E4's fabric
+// variants share one single-core cell per workload; each variant's
+// Fg-STP cells appear per variant).
 //
 // E12 is the one experiment that does not decompose into cmp cells
 // (its phase-granularity simulations run inside internal/adaptive), so

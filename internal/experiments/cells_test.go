@@ -15,8 +15,8 @@ import (
 
 // TestCellsE2 pins the enumeration of the headline figure: every
 // workload in every mode on the medium machine, in deterministic
-// submission order, each exactly once (the in-session baseline caches
-// dedupe nothing here — E2 runs each (mode, workload) pair once).
+// submission order, each exactly once (the session's cell cache
+// dedupes nothing here — E2 runs each (mode, workload) pair once).
 func TestCellsE2(t *testing.T) {
 	cells, err := Cells("E2", 3000)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cmp"
 	"repro/internal/config"
@@ -80,7 +81,8 @@ func (r *Result) String() string {
 
 // runner bundles the common parameters of an experiment run: the
 // per-simulation instruction budget, the worker count the job lists fan
-// out over, and the session-wide single-flight caches.
+// out over, and the session-wide single-flight caches of traces and
+// cells.
 type runner struct {
 	insts uint64
 	// jobs is the worker count for sched.Map fan-out (<= 0 picks
@@ -98,14 +100,17 @@ type runner struct {
 	// pool, the first job to ask captures while the rest wait, so each
 	// workload is captured exactly once per session.
 	traces sched.Cache[string, *trace.Trace]
-	// singles caches single-core runs and fusions caches Core Fusion
-	// runs, both keyed machine/workload. The sensitivity sweeps and
-	// ablations mutate only the Fg-STP fabric of a preset, so both
-	// baselines are invariant across every experiment of a session;
-	// any new experiment that mutates Core, Hier or Fusion must also
-	// rename the machine.
-	singles sched.Cache[string, stats.Run]
-	fusions sched.Cache[string, stats.Run]
+	// cells caches the runs of clean simulation cells of every mode,
+	// keyed on the cell identity (see cellID), so a cell that several
+	// experiments share — the sweeps' default points, the headline
+	// figures' baselines — is simulated once per session. Failed cells
+	// are not cached (sched.Cache drops them), poisoned ones never
+	// enter it.
+	cells sched.Cache[cellID, stats.Run]
+	// simulated counts the cells this session ran (cache misses, failed
+	// and poisoned cells included); requested counts every cell an
+	// experiment asked for. The difference is the reuse.
+	simulated, requested atomic.Int64
 	// cell, when non-nil, intercepts every clean simulation cell in
 	// place of the direct engine call (see SetCellRunner in cells.go).
 	// Poisoned Fg-STP cells bypass it: degraded runs are never
@@ -113,22 +118,21 @@ type runner struct {
 	cell CellFunc
 }
 
+// cellID keys the session's cell cache: the canonical machine
+// (canonicalCell), the mode and the workload. The session captures one
+// trace per workload at its budget, so the workload name stands for
+// the trace. The machine covers every field the mode reads, so two
+// cells with equal keys are the same simulation. The key holds the
+// machine by value, not its JSON: a session asks for a cell thousands
+// of times, and encoding the machine each time is wasted work.
+type cellID struct {
+	machine  config.Machine
+	mode     cmp.Mode
+	workload string
+}
+
 func newRunner(insts uint64, jobs int) *runner {
 	return &runner{insts: insts, jobs: jobs, ctx: context.Background()}
-}
-
-// singleOf runs (and memoises, single-flight) the single-core baseline.
-func (r *runner) singleOf(m config.Machine, w workloads.Workload) (stats.Run, error) {
-	return r.singles.Do(m.Name+"/"+w.Name, func() (stats.Run, error) {
-		return r.cellRun(m, cmp.ModeSingle, w)
-	})
-}
-
-// fusionOf runs (and memoises, single-flight) the Core Fusion baseline.
-func (r *runner) fusionOf(m config.Machine, w workloads.Workload) (stats.Run, error) {
-	return r.fusions.Do(m.Name+"/"+w.Name, func() (stats.Run, error) {
-		return r.cellRun(m, cmp.ModeFusion, w)
-	})
 }
 
 // traceOf captures (and memoises, single-flight) a workload trace.
@@ -142,28 +146,28 @@ func (r *runner) traceOf(w workloads.Workload) *trace.Trace {
 	return t
 }
 
-// fgstpOf runs the Fg-STP configuration, installing a fresh
-// channel-stall fault when the workload is poisoned (see
-// Session.Poison). The stall is per-run: injectors carry state, so
-// concurrent cells never share one.
-func (r *runner) fgstpOf(m config.Machine, w workloads.Workload) (stats.Run, error) {
-	if w.Name == r.poison {
-		return cmp.RunFaulty(m, cmp.ModeFgSTP, r.traceOf(w), faults.ChannelStall(0))
-	}
-	return r.cellRun(m, cmp.ModeFgSTP, w)
-}
-
-// runOf dispatches one (machine, mode, workload) simulation through
-// the baseline caches where the mode allows it.
+// runOf runs one (machine, mode, workload) cell, memoised
+// single-flight on its identity: the first caller simulates, every
+// later or concurrent caller for the same cell shares that run. It is
+// the only path from an experiment to the engine. An Fg-STP cell of
+// the poisoned workload (see Session.Poison) bypasses the cache and
+// runs with a fresh channel-stall fault; the stall is per-run
+// (injectors carry state), so concurrent cells never share one.
 func (r *runner) runOf(m config.Machine, mode cmp.Mode, w workloads.Workload) (stats.Run, error) {
-	switch mode {
-	case cmp.ModeSingle:
-		return r.singleOf(m, w)
-	case cmp.ModeFusion:
-		return r.fusionOf(m, w)
-	default:
-		return r.fgstpOf(m, w)
+	r.requested.Add(1)
+	if mode == cmp.ModeFgSTP && w.Name == r.poison {
+		r.simulated.Add(1)
+		return cmp.RunFaulty(m, mode, r.traceOf(w), faults.ChannelStall(0))
 	}
+	c, err := canonicalCell(m, mode)
+	if err != nil {
+		r.simulated.Add(1) // an invalid machine fails as its run would
+		return stats.Run{}, err
+	}
+	return r.cells.Do(cellID{c, mode, w.Name}, func() (stats.Run, error) {
+		r.simulated.Add(1)
+		return r.cellRun(m, mode, w)
+	})
 }
 
 // outcome is one simulation cell: its run on success, its error on
@@ -267,11 +271,11 @@ func (r *runner) gridOutcomes(m config.Machine, ws []workloads.Workload, modes [
 // batch.
 func (r *runner) speedupOutcomes(m config.Machine, ws []workloads.Workload) ([]float64, []error) {
 	return sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (float64, error) {
-		s, err := r.singleOf(m, w)
+		s, err := r.runOf(m, cmp.ModeSingle, w)
 		if err != nil {
 			return 0, err
 		}
-		g, err := r.fgstpOf(m, w)
+		g, err := r.runOf(m, cmp.ModeFgSTP, w)
 		if err != nil {
 			return 0, err
 		}
@@ -291,11 +295,12 @@ func ExtensionIDs() []string { return []string{"E11", "E12"} }
 
 // Session runs experiments with shared single-flight caches: across an
 // `-experiment all` run each workload trace is captured once and each
-// single-core / Core Fusion baseline simulated once, no matter how many
-// experiments (or concurrent jobs within one) ask for it. Sessions are
-// safe for use from one goroutine at a time; the parallelism lives in
-// the per-experiment job lists, which fan out over the session's worker
-// count.
+// distinct simulation cell — single-core, Core Fusion or Fg-STP, keyed
+// on its canonical identity (machine, mode, workload) — simulated
+// once, no matter how many experiments (or concurrent jobs within one)
+// ask for it. Sessions are safe for use from one goroutine at a time;
+// the parallelism lives in the per-experiment job lists, which fan out
+// over the session's worker count.
 type Session struct {
 	r *runner
 }
@@ -310,6 +315,14 @@ func NewSession(insts uint64, jobs int) *Session {
 	return &Session{r: newRunner(insts, jobs)}
 }
 
+// CellCounts reports the session's cell traffic so far: how many cells
+// it simulated and how many requests it served from its cell cache
+// instead. Telemetry only — nothing of it enters a result document.
+func (s *Session) CellCounts() (simulated, reused int64) {
+	simulated = s.r.simulated.Load()
+	return simulated, s.r.requested.Load() - simulated
+}
+
 // Poison marks one workload for deterministic fault injection: every
 // Fg-STP simulation of it runs with the inter-core channel stalled
 // from cycle 0, which starves the consumer core and drives the run
@@ -322,7 +335,7 @@ func (s *Session) Poison(workload string) { s.r.poison = workload }
 // Run executes one experiment with the given per-run instruction
 // budget (0 picks the default of 100k), fanning its job list out over
 // GOMAXPROCS workers. Results are independent of worker count. Use a
-// Session to share trace and baseline caches across experiments.
+// Session to share trace and cell caches across experiments.
 func Run(id string, insts uint64) (*Result, error) {
 	return NewSession(insts, 0).Run(id)
 }
@@ -508,7 +521,8 @@ func (r *runner) e4() (*Result, error) {
 		"variant", "geomean", "vs full")
 	// One job list spans every (variant × workload) pair; the shared
 	// single-core baseline (the variants mutate only the Fg-STP
-	// fabric) is computed once via the single-flight cache.
+	// fabric, which a single-core cell's identity leaves out) is
+	// computed once via the session's cell cache.
 	ws := workloads.All()
 	type cell struct {
 		vi int
@@ -525,11 +539,11 @@ func (r *runner) e4() (*Result, error) {
 		}
 	}
 	sp, errs := sched.MapAllCtx(r.ctx, r.jobs, cells, func(c cell) (float64, error) {
-		s, err := r.singleOf(machines[c.vi], c.w)
+		s, err := r.runOf(machines[c.vi], cmp.ModeSingle, c.w)
 		if err != nil {
 			return 0, err
 		}
-		g, err := r.fgstpOf(machines[c.vi], c.w)
+		g, err := r.runOf(machines[c.vi], cmp.ModeFgSTP, c.w)
 		if err != nil {
 			return 0, err
 		}
@@ -704,7 +718,7 @@ func (r *runner) e8() (*Result, error) {
 	}
 	rows, errs := sched.MapAllCtx(r.ctx, r.jobs, ws, func(w workloads.Workload) (row, error) {
 		tr := r.traceOf(w)
-		g, err := r.fgstpOf(m, w)
+		g, err := r.runOf(m, cmp.ModeFgSTP, w)
 		return row{g, tr.Len()}, err
 	})
 	var failures []string

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/workloads"
+)
 
 // determinismInsts is deliberately small: each checked experiment runs
 // twice (serial and 8-way parallel), and the suite also runs under
@@ -29,8 +33,9 @@ func TestJobsDeterminism(t *testing.T) {
 }
 
 // TestSessionCachesShared checks that one session reuses traces and
-// baselines across experiments: after E2 ran the medium grid, E4 on
-// the same session must not re-capture any trace.
+// cells across experiments: after E2 ran the medium grid, E4 on the
+// same session must not re-capture any trace nor re-simulate any cell
+// E2 already ran.
 func TestSessionCachesShared(t *testing.T) {
 	s := NewSession(determinismInsts, 0)
 	if _, err := s.Run("E2"); err != nil {
@@ -46,7 +51,19 @@ func TestSessionCachesShared(t *testing.T) {
 	if got := s.r.traces.Len(); got != captured {
 		t.Errorf("E4 grew the trace cache %d -> %d; want reuse", captured, got)
 	}
-	if s.r.singles.Len() == 0 {
-		t.Error("single-core baseline cache empty after E2+E4")
+	// E4 shares E2's medium single-core cell and its full-fabric Fg-STP
+	// cell on every workload; only its four other fabric variants are
+	// new simulations. Its five variants ask for the one single-core
+	// cell five times, so it reuses 2+4 cells per workload.
+	w := int64(len(workloads.All()))
+	simulated, reused := s.CellCounts()
+	if want := 3*w + 4*w; simulated != want {
+		t.Errorf("E2+E4 simulated %d cells, want %d", simulated, want)
+	}
+	if want := 6 * w; reused != want {
+		t.Errorf("E2+E4 reused %d cells, want %d", reused, want)
+	}
+	if got := int64(s.r.cells.Len()); got != simulated {
+		t.Errorf("cell cache holds %d runs, want one per simulated cell (%d)", got, simulated)
 	}
 }

@@ -22,61 +22,63 @@ type Sample struct {
 }
 
 // Registry is an ordered counter sink. Counters keep their registration
-// order (the order the model Set them in), lookups are O(1), and every
-// export view — Samples, Sorted, MarshalJSON — is deterministic, so two
-// identical simulations produce byte-identical exports regardless of
-// scheduling. The zero value is ready to use. A Registry is not safe
-// for concurrent mutation; models populate it single-threaded and
-// readers treat it as immutable afterwards.
+// order (the order the model Set them in), and every export view —
+// Samples, Sorted, MarshalJSON — is deterministic, so two identical
+// simulations produce byte-identical exports regardless of scheduling.
+// Lookups scan the samples linearly: a run registers at most ~50
+// counters, once, and experiment sessions keep hundreds of runs alive,
+// so an index map would cost more memory than its lookups save. The
+// zero value is ready to use. A Registry is not safe for concurrent
+// mutation; models populate it single-threaded and readers treat it as
+// immutable afterwards.
 type Registry struct {
-	idx     map[string]int
 	samples []Sample
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
+// find returns the index of name in samples, or -1 when absent.
+func (g *Registry) find(name string) int {
+	if g == nil {
+		return -1
+	}
+	for i := range g.samples {
+		if g.samples[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Set records v under name, registering the counter on first use.
 func (g *Registry) Set(name string, v float64) {
-	if i, ok := g.idx[name]; ok {
+	if i := g.find(name); i >= 0 {
 		g.samples[i].Value = v
 		return
 	}
-	if g.idx == nil {
-		g.idx = make(map[string]int)
-	}
-	g.idx[name] = len(g.samples)
 	g.samples = append(g.samples, Sample{Name: name, Value: v})
 }
 
 // Add increments name by v, registering the counter at v on first use.
 func (g *Registry) Add(name string, v float64) {
-	if i, ok := g.idx[name]; ok {
+	if i := g.find(name); i >= 0 {
 		g.samples[i].Value += v
 		return
 	}
-	g.Set(name, v)
+	g.samples = append(g.samples, Sample{Name: name, Value: v})
 }
 
 // Get returns the value of name (zero when absent).
 func (g *Registry) Get(name string) float64 {
-	if g == nil {
-		return 0
-	}
-	if i, ok := g.idx[name]; ok {
+	if i := g.find(name); i >= 0 {
 		return g.samples[i].Value
 	}
 	return 0
 }
 
 // Has reports whether name is registered.
-func (g *Registry) Has(name string) bool {
-	if g == nil {
-		return false
-	}
-	_, ok := g.idx[name]
-	return ok
-}
+func (g *Registry) Has(name string) bool { return g.find(name) >= 0 }
 
 // Len returns the number of registered counters.
 func (g *Registry) Len() int {

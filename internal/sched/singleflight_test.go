@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 )
@@ -84,5 +85,47 @@ func TestCacheErrorRetry(t *testing.T) {
 	v, _ = c.Do("k", func() (int, error) { calls++; return 99, nil })
 	if v != 7 || calls != 2 {
 		t.Errorf("cached Do = %d (calls %d), want 7 (2)", v, calls)
+	}
+}
+
+// TestCachePanicReleasesWaiters checks a panicking computation neither
+// caches nor strands its waiters: the computing caller sees the panic,
+// a concurrent waiter gets a *PanicError, and the next Do retries.
+func TestCachePanicReleasesWaiters(t *testing.T) {
+	var c sched.Cache[string, int]
+	started := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.Do("k", func() (int, error) { return 1, nil })
+		waited <- err
+	}()
+	// Give the waiter time to join the in-flight computation; if it
+	// arrives late it computes its own value, which the check below
+	// tolerates.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("computing caller recovered %v, want boom", p)
+	}
+	if err := <-waited; err != nil {
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("waiter error = %v, want *PanicError", err)
+		}
+	}
+	v, err := c.Do("k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("retry after panic = %d, %v; want 7, nil", v, err)
 	}
 }

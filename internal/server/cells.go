@@ -21,17 +21,22 @@ import (
 // whole rendered documents. The experiment harness exposes exactly that
 // granularity (experiments.CellFunc); the daemon installs a runner that
 // content-addresses each cell under (engine version, canonical cell
-// config, trace digest, mode, workload, insts) and serves repeats from
-// internal/resultcache. The whole-document cache in runCached stays on
-// top: a document hit skips the session entirely, a document miss
-// recomposes the document from cell lookups, so overlapping experiments
-// (E2 and E4 share every medium single-core and full-fabric Fg-STP
-// cell) and repeated sweeps share simulation work automatically.
+// config, trace digest, mode, workload) and serves repeats from
+// internal/resultcache. The canonical cell config is the harness's own
+// cell identity (experiments.CellConfig), the same one the session's
+// in-memory cell cache keys on: the session dedupes cells within one
+// request, this cache across requests. The whole-document cache in
+// runCached stays on top: a document hit skips the session entirely, a
+// document miss recomposes the document from cell lookups, so
+// overlapping experiments (E2 and E4 share every medium single-core and
+// full-fabric Fg-STP cell) and repeated sweeps share simulation work
+// automatically.
 
 // cellStats counts one request's cell traffic: runs is the number of
-// cells the session asked for, hits the ones served from the store,
-// misses the ones actually simulated. hits+misses may fall short of
-// runs only when a cell result was unserialisable and served directly.
+// distinct cells the session asked the runner for, hits the ones
+// served from the store, misses the ones actually simulated.
+// hits+misses falls short of runs only for a cell whose machine is
+// invalid: it fails before any lookup.
 type cellStats struct {
 	runs   atomic.Int64
 	hits   atomic.Int64
@@ -67,25 +72,6 @@ func cellStatsFrom(ctx context.Context) *cellStats {
 	return st
 }
 
-// cellConfig canonicalises a machine configuration for a cell key:
-// sections the mode never reads are blanked, so a single-core cell of
-// an Fg-STP fabric sweep shares its key (and its cached result) with
-// the same cell of every other fabric variant. This is the same
-// invariance the in-session baseline caches rely on (see runner in
-// internal/experiments): single-core runs read only Core+Hier, Core
-// Fusion runs additionally read Fusion, only Fg-STP runs read the
-// fabric parameters.
-func cellConfig(m config.Machine, mode cmp.Mode) ([]byte, error) {
-	switch mode {
-	case cmp.ModeSingle:
-		m.Fusion = config.FusionOverheads{}
-		m.FgSTP = config.FgSTP{}
-	case cmp.ModeFusion:
-		m.FgSTP = config.FgSTP{}
-	}
-	return m.ToJSON()
-}
-
 // traceDigest is the cache-key component of a captured trace: the hex
 // trace digest, SHA-256 of the canonical uncompressed instruction
 // records (trace.Digest). Every key that content-addresses a trace —
@@ -96,11 +82,12 @@ func traceDigest(tr *trace.Trace) string {
 }
 
 // cellKey content-addresses one simulation cell: engine version,
-// canonical cell config and the trace digest pin the simulation inputs
-// exactly (the digest subsumes workload identity and instruction
-// budget — same records, same result); the mode and workload name ride
-// along for debuggability. traceSum is traceDigest of the captured
-// trace, hashed once per workload per request, not per cell.
+// canonical cell config (experiments.CellConfig) and the trace digest
+// pin the simulation inputs exactly (the digest subsumes workload
+// identity and instruction budget — same records, same result); the
+// mode and workload name ride along for debuggability. traceSum is
+// traceDigest of the captured trace, hashed once per workload per
+// request, not per cell.
 func cellKey(cfgJSON []byte, traceSum string, mode cmp.Mode, workload string) string {
 	return resultcache.Key(cmp.EngineVersion, cfgJSON, []byte(traceSum),
 		"cell", string(mode), workload)
@@ -141,9 +128,9 @@ func (s *Server) cellRunner(st *cellStats) experiments.CellFunc {
 			st.runs.Add(1)
 		}
 		s.nCellRuns.Add(1)
-		cfgJSON, err := cellConfig(m, mode)
+		cfgJSON, err := experiments.CellConfig(m, mode)
 		if err != nil {
-			return cmp.Run(m, mode, tr) // unkeyable, run uncached
+			return stats.Run{}, err
 		}
 		key := cellKey(cfgJSON, sumOf(w, tr), mode, w.Name)
 		// computed captures the fresh run when its JSON encoding cannot

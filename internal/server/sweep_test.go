@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cmp"
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/workloads"
 )
 
@@ -177,7 +178,7 @@ func TestSweepBenchCacheShared(t *testing.T) {
 // helpers cellRunner uses.
 func cellKeyFor(t *testing.T, m config.Machine, mode cmp.Mode, workload string, insts uint64) string {
 	t.Helper()
-	cfgJSON, err := cellConfig(m, mode)
+	cfgJSON, err := experiments.CellConfig(m, mode)
 	if err != nil {
 		t.Fatal(err)
 	}

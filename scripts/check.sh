@@ -24,7 +24,11 @@
 #                   and fgstpsim -tracejson a valid Chrome trace
 #   jobs smoke      fgstpbench -experiment all -format json must be
 #                   byte-identical at -jobs 1 and 4 (every experiment and
-#                   every machine mode, not just E2)
+#                   every machine mode, not just E2), and the -jobs 1
+#                   run's stderr footer must report reused cells > 0: the
+#                   session's cell cache must share the sweeps' default
+#                   points with the headline figures, so a cell-identity
+#                   change that silently defeats sharing fails here
 #   sampled smoke   scripts/simpointcheck on a fixed workload set: the
 #                   checkpointed SimPoint estimate's 95% confidence
 #                   interval must contain the full-run IPC in every
@@ -98,9 +102,11 @@ go build -o "$tmp/fgstpsim" ./cmd/fgstpsim
 grep -q '"traceEvents"' "$tmp/pipe.json" || {
     echo "pipeline trace missing traceEvents"; exit 1; }
 
-echo "== all-experiments jobs-determinism smoke (-jobs 1 vs 4)"
+echo "== all-experiments jobs-determinism smoke (-jobs 1 vs 4, cell reuse)"
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 1 \
-    >"$tmp/all1.json" 2>/dev/null
+    >"$tmp/all1.json" 2>"$tmp/all1.err"
+grep -Eq '^fgstpbench: cells: [0-9]+ simulated, [1-9][0-9]* reused$' "$tmp/all1.err" || {
+    echo "-experiment all reused no simulation cell"; cat "$tmp/all1.err"; exit 1; }
 "$tmp/fgstpbench" -experiment all -insts 3000 -format json -jobs 4 \
     >"$tmp/all4.json" 2>/dev/null
 cmp "$tmp/all1.json" "$tmp/all4.json" || {
